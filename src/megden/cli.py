@@ -77,7 +77,7 @@ def cmd_denoise(args) -> int:
     workers = _workers_from_env()
     if args.threshold:
         if config.mode is denoise.Mode.SINGLE_TRIAL:
-            picked = [trials.trials[args.trial]]
+            picked = [denoise.select_trial(trials, args.trial)]
         else:
             picked = list(trials.trials)
         acc = None

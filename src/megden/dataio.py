@@ -157,36 +157,78 @@ def save_matrix(matrix, path) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
+    row_format = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as f:
-        for row in m:
-            f.write(",".join(format(v, ".17g") for v in row))
-            f.write("\n")
+        for row in m:  # one row in flight keeps memory flat for any matrix size
+            f.write(row_format % tuple(row.tolist()))
 
 
-def load_matrix(path) -> np.ndarray:
-    """Parse a CSV matrix; errors name the file and 1-based line number."""
-    path = Path(path)
+def _read_ascii(path: Path) -> str:
+    """The file's text with universal newlines; a non-ASCII byte names its line."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        raise DatasetError(f"{path}:{line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# Separators that loadtxt strips around a value and float() rejects.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
+    """Line-by-line parse with ``float`` semantics; the source of every file:line message."""
     rows: list[list[float]] = []
     width = -1
-    with open(path, encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                raise DatasetError(f"{path}:{lineno}: blank line in data file")
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: malformed row") from None
-            if width < 0:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            raise DatasetError(f"{path}:{lineno}: blank line in data file")
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: malformed row") from None
+        if width < 0:
+            width = len(row)
+        elif len(row) != width:
+            raise DatasetError(
+                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+            )
+        rows.append(row)
     if not rows:
         raise DatasetError(f"{path}:1: empty data file")
     return np.array(rows, dtype=np.float64)
+
+
+def load_matrix(path) -> np.ndarray:
+    """Parse a CSV matrix of finite values.
+
+    Errors name the file and 1-based line number, plus the 1-based
+    column for a non-finite value.
+    """
+    path = Path(path)
+    text = _read_ascii(path)
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    m = None
+    # loadtxt skips empty lines (and warns when no other line is left), so
+    # those files, and any loadtxt rejects, go to the line parser.
+    if lines and all(lines) and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            m = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if m is None or m.shape[0] != len(lines):  # each line must be one row
+        m = _parse_lines(path, lines)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetError(f"{path}:{row + 1}:{col + 1}: non-finite value")
+    return m
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -195,19 +237,25 @@ def save_manifest(manifest: Manifest, path) -> None:
         f.write("\n")
 
 
+def _manifest_count(raw: dict, key: str) -> int:
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"key {key!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    with open(path, encoding="ascii") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    try:
+        raw = json.loads(_read_ascii(path))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     try:
         return Manifest(
-            sensors=int(raw["sensors"]),
-            pre_samples=int(raw["pre_samples"]),
-            post_samples=int(raw["post_samples"]),
-            trials=int(raw["trials"]),
+            sensors=_manifest_count(raw, "sensors"),
+            pre_samples=_manifest_count(raw, "pre_samples"),
+            post_samples=_manifest_count(raw, "post_samples"),
+            trials=_manifest_count(raw, "trials"),
             unit=str(raw["unit"]),
             sample_period_ms=float(raw["sample_period_ms"]),
         )

@@ -34,6 +34,7 @@ __all__ = [
     "denoise_trial",
     "estimate_sensors",
     "reconstruct_denoised",
+    "select_trial",
     "threshold_denoise",
 ]
 
@@ -192,15 +193,20 @@ def denoise_multi(trials: TrialSet, config: DenoiseConfig, workers: int = 1) -> 
     return acc / len(outputs)
 
 
+def select_trial(trials: TrialSet, index: int) -> np.ndarray:
+    """The trial at ``index``; negative or too-large indices are an error, not a wrap."""
+    if not 0 <= index < len(trials):
+        raise ValueError(f"trial index {index} out of range 0..{len(trials) - 1}")
+    return trials.trials[index]
+
+
 def denoise_dataset(
     trials: TrialSet, config: DenoiseConfig, trial_index: int = 0, workers: int = 1
 ) -> np.ndarray:
     """Dispatch on ``config.mode``: one designated trial, or the all-trial mean."""
     if config.mode is Mode.SINGLE_TRIAL:
-        if not 0 <= trial_index < len(trials):
-            raise ValueError(f"trial index {trial_index} out of range 0..{len(trials) - 1}")
         return denoise_trial(
-            trials.trials[trial_index], config, trials.pre_samples, trials.post_samples
+            select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
         )
     return denoise_multi(trials, config, workers=workers)
 

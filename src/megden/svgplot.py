@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 __all__ = ["PlotSpec", "render_traces"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,10 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
         raise ValueError(
             f"plot input must be a 2-D matrix with at least 2 columns, got shape {m.shape}"
         )
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"plot input has a non-finite value at row {row}, column {col}")
     k, t = m.shape
     left, right, top, bottom = 72.0, 24.0, 48.0, 58.0
     inner_w = spec.width - left - right
@@ -57,7 +65,7 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
     if spec.title:
         out.append(
             f'<text x="{spec.width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(spec.title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(spec.title)}</text>'
         )
     # Axes and labels.
     x0, y0 = left, top + inner_h
@@ -70,12 +78,12 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
     )
     out.append(
         f'<text x="{left + inner_w / 2:.1f}" y="{spec.height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(spec.x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(spec.x_label)}</text>'
     )
     out.append(
         f'<text x="20" y="{top + inner_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{escape(spec.y_label)}</text>'
+        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{_escape(spec.y_label)}</text>'
     )
     for value, x_px in ((0.0, x0), (float(t - 1), left + inner_w)):
         out.append(
@@ -90,9 +98,12 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
         )
 
     opacity = 0.9 if k <= 8 else 0.4
+    points_format = " ".join(["%.2f,%.2f"] * t)
+    xy = np.empty(2 * t)
+    xy[0::2] = xs
     for i in range(k):
-        ys = top + (y_hi - m[i]) / (y_hi - y_lo) * inner_h
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        xy[1::2] = top + (y_hi - m[i]) / (y_hi - y_lo) * inner_h
+        points = points_format % tuple(xy.tolist())
         color = _PALETTE[i % len(_PALETTE)]
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="0.8" '

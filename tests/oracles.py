@@ -1,0 +1,120 @@
+"""Straight-loop reference implementations of megden's text I/O.
+
+The library writes CSV with one format string per row, parses it with
+``np.loadtxt`` and formats SVG points with one format string per
+polyline. These per-value versions are the semantic references the
+tests hold those fast paths to, byte for byte and bit for bit.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from xml.sax.saxutils import escape
+
+import numpy as np
+
+from megden.errors import DatasetError
+from megden.svgplot import _PALETTE, PlotSpec
+
+
+def save_matrix_reference(matrix, path) -> None:
+    """One ``format(v, ".17g")`` call per value."""
+    m = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", encoding="ascii") as f:
+        for row in m:
+            f.write(",".join(format(v, ".17g") for v in row))
+            f.write("\n")
+
+
+def load_matrix_reference(path) -> np.ndarray:
+    """``float()`` per token, line by line; accepts non-finite values."""
+    path = Path(path)
+    rows: list[list[float]] = []
+    width = -1
+    with open(path, encoding="ascii") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                raise DatasetError(f"{path}:{lineno}: blank line in data file")
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: malformed row") from None
+            if width < 0:
+                width = len(row)
+            elif len(row) != width:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise DatasetError(f"{path}:1: empty data file")
+    return np.array(rows, dtype=np.float64)
+
+
+def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:
+    """SVG document with one f-string per point, escaped by ``xml.sax``."""
+    m = np.asarray(matrix, dtype=np.float64)
+    k, t = m.shape
+    left, right, top, bottom = 72.0, 24.0, 48.0, 58.0
+    inner_w = spec.width - left - right
+    inner_h = spec.height - top - bottom
+
+    lo, hi = float(m.min()), float(m.max())
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    y_lo, y_hi = lo - pad, hi + pad
+    x_span = float(max(t - 1, 1))
+    xs = left + np.arange(t) / x_span * inner_w
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
+        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
+    ]
+    if spec.title:
+        out.append(
+            f'<text x="{spec.width / 2:.1f}" y="24" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16">{escape(spec.title)}</text>'
+        )
+    x0, y0 = left, top + inner_h
+    out.append(
+        f'<line x1="{x0}" y1="{top}" x2="{x0}" y2="{y0}" stroke="black" stroke-width="1"/>'
+    )
+    out.append(
+        f'<line x1="{x0}" y1="{y0}" x2="{left + inner_w}" y2="{y0}" '
+        'stroke="black" stroke-width="1"/>'
+    )
+    out.append(
+        f'<text x="{left + inner_w / 2:.1f}" y="{spec.height - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{escape(spec.x_label)}</text>'
+    )
+    out.append(
+        f'<text x="20" y="{top + inner_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{escape(spec.y_label)}</text>'
+    )
+    for value, x_px in ((0.0, x0), (float(t - 1), left + inner_w)):
+        out.append(
+            f'<text x="{x_px:.1f}" y="{y0 + 18:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{value:g}</text>'
+        )
+    for value in (lo, hi):
+        y_px = top + (y_hi - value) / (y_hi - y_lo) * inner_h
+        out.append(
+            f'<text x="{x0 - 6:.1f}" y="{y_px + 4:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{value:.4g}</text>'
+        )
+
+    opacity = 0.9 if k <= 8 else 0.4
+    for i in range(k):
+        ys = top + (y_hi - m[i]) / (y_hi - y_lo) * inner_h
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        color = _PALETTE[i % len(_PALETTE)]
+        out.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="0.8" '
+            f'stroke-opacity="{opacity}" points="{points}"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

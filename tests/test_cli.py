@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import load_matrix_reference
+
 from megden.cli import main
 from megden.dataio import load_matrix, save_matrix
 
@@ -97,7 +99,45 @@ def test_snir_ratio_dump(dataset, tmp_path, capsys):
         "snir", "--mean", str(avg), "--calc", str(avg), "--ratios", str(ratios)
     ) == 0
     assert "inf" in capsys.readouterr().out
-    assert load_matrix(ratios).shape == (6, 1)
+    # zero error gives +inf ratios, which load_matrix refuses as input
+    dumped = load_matrix_reference(ratios)
+    assert dumped.shape == (6, 1)
+    assert np.all(dumped == np.inf)
+
+
+@pytest.mark.parametrize("trial", ["7", "-1"])
+def test_threshold_single_trial_out_of_range(dataset, tmp_path, capsys, trial):
+    code = run_main(
+        "denoise", "--data", str(dataset), "--out", str(tmp_path / "t.csv"),
+        "--wavelet", "db4", "--scales", "3", "--threshold", "--mode", "single",
+        "--trial", trial,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"megden: error: trial index {trial} out of range 0..1\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["snir", "plot"])
+def test_non_finite_input_exits_with_its_position(dataset, tmp_path, capsys, command):
+    avg = tmp_path / "avg.csv"
+    run_main("average", "--data", str(dataset), "--out", str(avg))
+    lines = avg.read_text().splitlines()
+    row = lines[2].split(",")
+    row[4] = "nan"
+    lines[2] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    if command == "snir":
+        code = run_main("snir", "--mean", str(avg), "--calc", str(bad))
+    else:
+        code = run_main("plot", "--in", str(bad), "--out", str(tmp_path / "bad.svg"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"megden: error: {bad}:3:5: non-finite value\n"
 
 
 def test_snir_output_format(dataset, tmp_path, capsys):

@@ -1,9 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import load_matrix_reference, save_matrix_reference
 
+from megden import dataio
 from megden.dataio import (
     MANIFEST_NAME,
     Manifest,
@@ -176,8 +182,88 @@ def test_load_matrix_error_positions(tmp_path):
     with pytest.raises(DatasetError, match=r"bad\.csv:1.*empty"):
         load_matrix(p)
 
+    p.write_text("1,2\n \t \n3,4\n")  # whitespace-only, which loadtxt would not skip
+    with pytest.raises(DatasetError, match=r"bad\.csv:2: blank"):
+        load_matrix(p)
+
+    p.write_bytes(b"1,2\r\n3,4\r\n")
+    assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
+    p.write_bytes(b"1,2\r\n3,4\r\n5,x\r\n")
+    with pytest.raises(DatasetError, match=r"bad\.csv:3: malformed"):
+        load_matrix(p)
+
+    p.write_text("1_0,2\n3,4\n")  # float() accepts digit grouping; loadtxt does not
+    assert np.array_equal(load_matrix(p), [[10.0, 2.0], [3.0, 4.0]])
+    p.write_text("1,\x1f2\n")  # loadtxt strips the unit separator; float() does not
+    with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed"):
+        load_matrix(p)
+
+    for bad in ("nan", "inf", "-inf", "1e400"):
+        p.write_text(f"1,2,3\n4,5,{bad}\n")
+        with pytest.raises(DatasetError, match=r"bad\.csv:2:3: non-finite value"):
+            load_matrix(p)
+    p.write_text("1_0,nan\n")  # non-finite behind the line-parser path
+    with pytest.raises(DatasetError, match=r"bad\.csv:1:2: non-finite value"):
+        load_matrix(p)
+
+    p.write_bytes(b"\xef\xbb\xbf1,2\n")  # UTF-8 byte-order mark
+    with pytest.raises(DatasetError, match=r"bad\.csv:1: non-ASCII byte 0xef"):
+        load_matrix(p)
+    p.write_bytes(b"1,2\r\n3,4\r5,\xff\n")
+    with pytest.raises(DatasetError, match=r"bad\.csv:3: non-ASCII byte 0xff"):
+        load_matrix(p)
+
     with pytest.raises(FileNotFoundError):
         load_matrix(tmp_path / "missing.csv")
+
+
+# Matrices mixing ordinary values with -0.0, subnormals and the largest finite magnitudes.
+finite_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e308, -1e308, 1.7976931348623157e308]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=finite_matrices)
+def test_csv_fast_paths_match_the_reference(tmp_path_factory, m):
+    d = tmp_path_factory.mktemp("csv")
+    fast, ref = d / "fast.csv", d / "ref.csv"
+    save_matrix(m, fast)
+    save_matrix_reference(m, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+    with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("fallback")):
+        back = load_matrix(fast)  # well-formed input must take the loadtxt path
+    assert back.dtype == np.float64 and back.shape == m.shape
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+    assert np.array_equal(back.view(np.uint64), load_matrix_reference(fast).view(np.uint64))
+
+
+csv_text = st.text(alphabet="0123456789.,-+e_ainf \t\n\r\x0c\x1c\x1f", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text)
+def test_load_matrix_agrees_with_the_reference_on_any_text(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("csv") / "x.csv"
+    p.write_bytes(text.encode("ascii"))
+    try:
+        want = load_matrix_reference(p)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            load_matrix(p)
+        assert str(got.value) == str(exc)
+        return
+    if np.isfinite(want).all():
+        assert np.array_equal(load_matrix(p).view(np.uint64), want.view(np.uint64))
+    else:
+        with pytest.raises(DatasetError, match="non-finite value"):
+            load_matrix(p)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -206,6 +292,18 @@ def test_load_manifest_errors(tmp_path):
         load_manifest(p)
     p.write_text(json.dumps({"sensors": 2}))
     with pytest.raises(DatasetError, match="missing manifest key"):
+        load_manifest(p)
+
+    good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
+            "unit": "fT", "sample_period_ms": 1.0}
+    for key, value in (("trials", True), ("sensors", 8.9), ("sensors", 8.0),
+                       ("post_samples", "6")):
+        p.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(DatasetError, match=rf"m\.json: .*'{key}' must be an integer"):
+            load_manifest(p)
+
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps(good).encode())
+    with pytest.raises(DatasetError, match=r"m\.json:1: non-ASCII byte 0xef"):
         load_manifest(p)
 
 

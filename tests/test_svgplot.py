@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import render_traces_reference
 
 from megden.svgplot import PlotSpec, render_traces
 
@@ -49,3 +50,26 @@ def test_dimensions_in_header():
     svg = render_traces(np.zeros((2, 3)), PlotSpec(width=640, height=480))
     assert 'width="640"' in svg
     assert 'height="480"' in svg
+
+
+@pytest.mark.parametrize(
+    "matrix, spec",
+    [
+        (np.random.default_rng(42).normal(scale=80.0, size=(274, 241)), PlotSpec()),
+        (np.full((3, 5), 2.0), PlotSpec(title="a<b & c>d")),
+    ],
+)
+def test_points_match_the_per_point_reference(matrix, spec):
+    got = render_traces(matrix, spec).split("\n")
+    want = render_traces_reference(matrix, spec).split("\n")
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):  # line by line keeps a failure's diff small
+        assert got_line == want_line
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    m = np.zeros((3, 4))
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite value at row 1, column 2"):
+        render_traces(m, PlotSpec())
