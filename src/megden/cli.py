@@ -8,8 +8,8 @@ A typical end-to-end run:
     megden snir --mean avg.csv --calc den.csv
     megden plot --in den.csv --out den.svg
 
-``MEGDEN_THREADS`` caps the multi-trial worker count (0 = auto); the
-output does not depend on it.
+``MEGDEN_THREADS`` caps the forked worker processes that write and parse
+the trial CSVs (0 = one per CPU); the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -37,9 +37,18 @@ def _workers_from_env() -> int:
     return value if value else (os.cpu_count() or 1)
 
 
-def _config_from_args(args) -> denoise.DenoiseConfig:
+def _wavelet_from_args(args) -> tuple[Family, int]:
+    """The family and its parameter; ``--n`` is an error unless the family is ahaar."""
     family = Family(args.wavelet)
-    param = args.n if family is Family.ADJUSTED_HAAR else 0
+    if family is Family.ADJUSTED_HAAR:
+        return family, 2 if args.n is None else args.n
+    if args.n is not None:
+        raise ValueError(f"--n applies only to --wavelet {Family.ADJUSTED_HAAR.value}")
+    return family, 0
+
+
+def _config_from_args(args) -> denoise.DenoiseConfig:
+    family, param = _wavelet_from_args(args)
     mode = denoise.Mode(args.mode)
     return denoise.DenoiseConfig(family=family, param=param, scales=args.scales, mode=mode)
 
@@ -56,13 +65,15 @@ def cmd_gen(args) -> int:
         response_freq_hz=args.freq,
         response_decay_ms=args.decay,
     )
-    written = dataio.write_dataset(dataio.generate_synthetic(config), args.out)
+    written = dataio.write_dataset(
+        dataio.generate_synthetic(config), args.out, workers=_workers_from_env()
+    )
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
 def cmd_average(args) -> int:
-    trials = dataio.load_dataset(args.data)
+    trials = dataio.load_dataset(args.data, workers=_workers_from_env())
     avg = denoise.average_trials(trials)
     if args.window == "post":
         avg = avg[:, trials.pre_samples :]
@@ -72,9 +83,8 @@ def cmd_average(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    trials = dataio.load_dataset(args.data)
     config = _config_from_args(args)
-    workers = _workers_from_env()
+    trials = dataio.load_dataset(args.data, workers=_workers_from_env())
     if args.threshold:
         if config.mode is denoise.Mode.SINGLE_TRIAL:
             picked = [denoise.select_trial(trials, args.trial)]
@@ -88,9 +98,7 @@ def cmd_denoise(args) -> int:
             acc = out if acc is None else acc + out
         result = acc / len(picked)
     else:
-        result = denoise.denoise_dataset(
-            trials, config, trial_index=args.trial, workers=workers
-        )
+        result = denoise.denoise_dataset(trials, config, trial_index=args.trial)
     dataio.save_matrix(result, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -105,10 +113,9 @@ def cmd_snir(args) -> int:
 
 
 def cmd_filters(args) -> int:
-    family = Family(args.wavelet)
-    pair = make_filter(family, args.n if family is Family.ADJUSTED_HAAR else 0)
+    pair = make_filter(*_wavelet_from_args(args))
     classic_h, classic_g = classical_convention(pair)
-    print(f"family: {family.value} (param {pair.param}, {len(pair)} taps)")
+    print(f"family: {pair.family.value} (param {pair.param}, {len(pair)} taps)")
     for label, values in (
         ("lowpass  (orthonormal)", pair.lowpass),
         ("highpass (orthonormal)", pair.highpass),
@@ -131,7 +138,8 @@ def cmd_plot(args) -> int:
 def _add_wavelet_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wavelet", choices=WAVELET_NAMES, default="db4", help="wavelet family")
     p.add_argument(
-        "--n", type=int, default=2, help="adjusted-Haar zero count (ahaar only; 2n zeros)"
+        "--n", type=int, default=None,
+        help="adjusted-Haar zero count (ahaar only, default 2; 2n zeros)",
     )
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,8 +56,10 @@ class Manifest:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.unit != "fT":
             raise ValueError(f"unit must be 'fT', got {self.unit!r}")
-        if self.sample_period_ms <= 0:
-            raise ValueError(f"sample_period_ms must be positive, got {self.sample_period_ms}")
+        if not (math.isfinite(self.sample_period_ms) and self.sample_period_ms > 0):
+            raise ValueError(
+                f"sample_period_ms must be finite and positive, got {self.sample_period_ms}"
+            )
 
 
 @dataclass(frozen=True)
@@ -237,10 +241,11 @@ def save_manifest(manifest: Manifest, path) -> None:
         f.write("\n")
 
 
-def _manifest_count(raw: dict, key: str) -> int:
+def _manifest_value(raw: dict, key: str, kind, noun: str):
+    """``raw[key]`` if it is a JSON value of ``kind``; a JSON ``true`` is not a number."""
     value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"key {key!r} must be an integer, got {json.dumps(value)}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"key {key!r} must be {noun}, got {json.dumps(value)}")
     return value
 
 
@@ -250,14 +255,20 @@ def load_manifest(path) -> Manifest:
         raw = json.loads(_read_ascii(path))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or deep nesting
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{path}: manifest must be a JSON object")
     try:
         return Manifest(
-            sensors=_manifest_count(raw, "sensors"),
-            pre_samples=_manifest_count(raw, "pre_samples"),
-            post_samples=_manifest_count(raw, "post_samples"),
-            trials=_manifest_count(raw, "trials"),
-            unit=str(raw["unit"]),
-            sample_period_ms=float(raw["sample_period_ms"]),
+            sensors=_manifest_value(raw, "sensors", int, "an integer"),
+            pre_samples=_manifest_value(raw, "pre_samples", int, "an integer"),
+            post_samples=_manifest_value(raw, "post_samples", int, "an integer"),
+            trials=_manifest_value(raw, "trials", int, "an integer"),
+            unit=_manifest_value(raw, "unit", str, "a string"),
+            sample_period_ms=float(
+                _manifest_value(raw, "sample_period_ms", (int, float), "a number")
+            ),
         )
     except KeyError as exc:
         raise DatasetError(f"{path}: missing manifest key {exc.args[0]!r}") from None
@@ -265,9 +276,83 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"{path}: invalid manifest: {exc}") from None
 
 
-def load_trials(manifest_path, data_paths) -> TrialSet:
-    """Load a manifest plus its trial files, validating counts against the manifest."""
-    manifest = load_manifest(manifest_path)
+def _run_chunk(fn, chunk: list) -> tuple[bool, object]:
+    """``(True, results)``, or ``(False, exception)`` at the chunk's first failure."""
+    try:
+        return True, [fn(item) for item in chunk]
+    except Exception as exc:
+        return False, exc
+
+
+def _fork_chunk(fn, chunk: list) -> tuple[int, int]:
+    """Fork a child that pickles ``_run_chunk(fn, chunk)`` into a pipe; (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_run_chunk(fn, chunk), protocol=pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            # Never return into the parent's stack or run its exit handlers; a child
+            # that sends nothing (say, an unpicklable result) is reported by _collect.
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int, first) -> tuple[bool, object]:
+    """Read one child's outcome to EOF, then reap it."""
+    with open(read_fd, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):  # the child died before or while sending
+        code = os.waitstatus_to_exitcode(status)
+        return False, OSError(f"{first}: worker exited with status {code} without a result")
+
+
+def _fanout(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, split into at most ``workers`` contiguous chunks.
+
+    The parent runs chunk 0 and a forked child runs each other chunk.
+    Every child is read and reaped before anything is raised, and the
+    first error in item order wins, so results and errors do not depend
+    on ``workers``. Fork, not spawn: a child starts with the parent's
+    trials and closures in memory, where a fresh interpreter would cost
+    about as much as one chunk's work.
+    """
+    items = list(items)
+    count = min(workers, len(items))
+    if count < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    cuts = [len(items) * k // count for k in range(count + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            children.append((*_fork_chunk(fn, chunk), chunk[0]))
+        outcomes = [_run_chunk(fn, chunks[0])]
+    finally:
+        collected = [_collect(pid, fd, first) for pid, fd, first in children]
+    results = []
+    for ok, payload in outcomes + collected:
+        if not ok:
+            raise payload
+        results += payload
+    return results
+
+
+def _load_trial_files(manifest: Manifest, manifest_path, data_paths, workers: int) -> TrialSet:
     paths = [Path(p) for p in data_paths]
     if len(paths) != manifest.trials:
         raise DatasetError(
@@ -275,25 +360,40 @@ def load_trials(manifest_path, data_paths) -> TrialSet:
             f"got {len(paths)} data files"
         )
     total = manifest.pre_samples + manifest.post_samples
-    mats = []
-    for p in paths:
+
+    def load_checked(p: Path) -> np.ndarray:
         m = load_matrix(p)
         if m.shape[0] != manifest.sensors:
             raise DatasetError(f"{p}: expected {manifest.sensors} rows, found {m.shape[0]}")
         if m.shape[1] != total:
             raise DatasetError(f"{p}: expected {total} columns, found {m.shape[1]}")
-        mats.append(m)
+        return m
+
+    mats = _fanout(load_checked, paths, workers)
     return TrialSet(
         tuple(mats), manifest.sensors, manifest.pre_samples, manifest.post_samples
     )
+
+
+def load_trials(manifest_path, data_paths, workers: int = 1) -> TrialSet:
+    """Load a manifest plus its trial files, validating counts against the manifest.
+
+    ``workers`` > 1 parses the files in up to that many processes; the
+    result and the first error are the same for any value.
+    """
+    return _load_trial_files(load_manifest(manifest_path), manifest_path, data_paths, workers)
 
 
 def trial_filename(index: int) -> str:
     return f"trial_{index}.csv"
 
 
-def write_dataset(trials: TrialSet, directory) -> list[Path]:
-    """Write manifest.json plus trial_<i>.csv files; returns the written paths."""
+def write_dataset(trials: TrialSet, directory, workers: int = 1) -> list[Path]:
+    """Write manifest.json plus trial_<i>.csv files; returns the written paths.
+
+    ``workers`` > 1 writes the trial files in up to that many processes;
+    the bytes are the same for any value.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(
@@ -302,19 +402,21 @@ def write_dataset(trials: TrialSet, directory) -> list[Path]:
         post_samples=trials.post_samples,
         trials=len(trials),
     )
-    written = [directory / MANIFEST_NAME]
-    save_manifest(manifest, written[0])
-    for i, mat in enumerate(trials.trials):
-        p = directory / trial_filename(i)
-        save_matrix(mat, p)
-        written.append(p)
-    return written
+    manifest_path = directory / MANIFEST_NAME
+    save_manifest(manifest, manifest_path)
+    paths = [directory / trial_filename(i) for i in range(len(trials))]
+    matrices = dict(zip(paths, trials.trials))
+    _fanout(lambda p: save_matrix(matrices[p], p), paths, workers)
+    return [manifest_path, *paths]
 
 
-def load_dataset(directory) -> TrialSet:
-    """Load manifest.json and its trial_<i>.csv files from a dataset directory."""
+def load_dataset(directory, workers: int = 1) -> TrialSet:
+    """Load manifest.json and its trial_<i>.csv files from a dataset directory.
+
+    ``workers`` is as for ``load_trials``.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     manifest = load_manifest(manifest_path)
     paths = [directory / trial_filename(i) for i in range(manifest.trials)]
-    return load_trials(manifest_path, paths)
+    return _load_trial_files(manifest, manifest_path, paths, workers)

@@ -11,7 +11,6 @@ and emits each estimate constantly across the post-stimulus window.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,19 +173,10 @@ def denoise_trial(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarr
     return reconstruct_denoised(est, post)
 
 
-def denoise_multi(trials: TrialSet, config: DenoiseConfig, workers: int = 1) -> np.ndarray:
-    """Mean of per-trial denoised outputs, reduced in trial-index order.
-
-    ``workers`` > 1 fans the per-trial work out to a thread pool; the
-    reduction order stays fixed, so the result is identical for any
-    worker count.
-    """
+def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
+    """Mean of per-trial denoised outputs, reduced in trial-index order."""
     pre, post = trials.pre_samples, trials.post_samples
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(lambda t: denoise_trial(t, config, pre, post), trials.trials))
-    else:
-        outputs = [denoise_trial(t, config, pre, post) for t in trials.trials]
+    outputs = [denoise_trial(t, config, pre, post) for t in trials.trials]
     acc = np.zeros_like(outputs[0])
     for out in outputs:
         acc += out
@@ -200,15 +190,13 @@ def select_trial(trials: TrialSet, index: int) -> np.ndarray:
     return trials.trials[index]
 
 
-def denoise_dataset(
-    trials: TrialSet, config: DenoiseConfig, trial_index: int = 0, workers: int = 1
-) -> np.ndarray:
+def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 0) -> np.ndarray:
     """Dispatch on ``config.mode``: one designated trial, or the all-trial mean."""
     if config.mode is Mode.SINGLE_TRIAL:
         return denoise_trial(
             select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
         )
-    return denoise_multi(trials, config, workers=workers)
+    return denoise_multi(trials, config)
 
 
 def average_trials(trials: TrialSet) -> np.ndarray:

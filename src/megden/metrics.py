@@ -41,8 +41,12 @@ def snir(y_mean, y_calc) -> SnirReport:
     the aggregate is 10*log10 of the mean ratio (ratios are averaged raw,
     before taking dB). A sensor with exactly zero error energy yields a
     +inf ratio, which propagates to snir_db; there is no silent clamp.
+    A nan or inf in either input is a ``StructureError``.
     """
     a, b = _check_pair(y_mean, y_calc)
+    for name, m in (("y_mean", a), ("y_calc", b)):
+        if not np.isfinite(m).all():
+            raise StructureError(f"{name} holds a non-finite value")
     signal_energy = np.sum(a * a, axis=1)
     error_energy = np.sum((a - b) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

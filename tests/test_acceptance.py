@@ -6,7 +6,6 @@ check, and the per-wavelet SNIR values for the determinism check.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from megden.cli import _workers_from_env
-from megden.dataio import SyntheticConfig, generate_synthetic
+from megden.dataio import SyntheticConfig, generate_synthetic, load_dataset, write_dataset
 from megden.denoise import (
     DenoiseConfig,
     TrialSet,
@@ -163,40 +162,41 @@ def test_criterion_6_snir_fixed_points(report):
     )
 
 
-def test_criterion_7_deterministic_chain(report, monkeypatch):
-    def chain(threads, family, param):
+def test_criterion_7_deterministic_chain(report, monkeypatch, tmp_path):
+    def chain(threads, data):
         monkeypatch.setenv("MEGDEN_THREADS", threads)
-        ts = generate_synthetic(SyntheticConfig(seed=42))
-        config = DenoiseConfig(family=family, param=param, scales=8)
-        den = denoise_multi(ts, config, workers=_workers_from_env())
+        workers = _workers_from_env()
+        written = write_dataset(generate_synthetic(SyntheticConfig(seed=42)), data, workers)
+        ts = load_dataset(data, workers)
         reference = average_trials(ts)[:, ts.pre_samples :]
-        return den.tobytes(), snir(reference, den).snir_db
+        out = [p.read_bytes() for p in written]
+        for family, param in THREE_FAMILIES:
+            den = denoise_multi(ts, DenoiseConfig(family=family, param=param, scales=8))
+            out.append((den.tobytes(), snir(reference, den).snir_db))
+        return out
 
-    ok = True
+    runs = [chain(threads, tmp_path / f"run{i}") for i, threads in enumerate(("1", "1", "4"))]
+    first = runs[0]
+    ok = all(run == first for run in runs[1:])
     values = []
-    for family, param in THREE_FAMILIES:
-        first = chain("1", family, param)
-        again = chain("1", family, param)
-        threaded = chain("4", family, param)
-        ok &= first == again == threaded
-        ok &= math.isfinite(first[1])
-        values.append(f"{family.value} {first[1]:.2f} dB")
+    for (family, _), (_, db) in zip(THREE_FAMILIES, first[-len(THREE_FAMILIES) :]):
+        ok &= math.isfinite(db)
+        values.append(f"{family.value} {db:.2f} dB")
     assert report(7, "seed-42 chain determinism", ok, "; ".join(values))
 
 
 def test_criterion_8_multi_trial_performance(report):
     ts = generate_synthetic(SyntheticConfig(seed=42))
     config = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2, scales=8)
-    workers = os.cpu_count() or 1
     start = time.perf_counter()
-    out = denoise_multi(ts, config, workers=workers)
+    out = denoise_multi(ts, config)
     elapsed = time.perf_counter() - start
     ok = elapsed < 5.0 and out.shape == (274, 241)
     assert report(
         8,
         "multi-trial performance",
         ok,
-        f"{elapsed:.2f} s for 10 trials x 274 x 241 with {workers} workers",
+        f"{elapsed:.2f} s for 10 trials x 274 x 241",
     )
 
 

@@ -164,6 +164,22 @@ def test_filters_dump_both_conventions(capsys):
     assert "param 2" in out and "6 taps" in out
 
 
+@pytest.mark.parametrize("command", ["denoise", "filters"])
+@pytest.mark.parametrize("wavelet", ["db4", "coif1"])
+def test_n_without_ahaar_is_an_error(dataset, tmp_path, capsys, command, wavelet):
+    argv = [command, "--wavelet", wavelet, "--n", "5"]
+    if command == "denoise":
+        argv += ["--data", str(dataset), "--out", str(tmp_path / "d.csv"), "--scales", "3"]
+    assert run_main(*argv) == 1
+    assert capsys.readouterr().err == "megden: error: --n applies only to --wavelet ahaar\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_ahaar_n_defaults_to_two(capsys):
+    assert run_main("filters", "--wavelet", "ahaar") == 0
+    assert "param 2" in capsys.readouterr().out
+
+
 def test_plot_polyline_count(dataset, tmp_path):
     avg = tmp_path / "avg.csv"
     svg = tmp_path / "avg.svg"
@@ -193,17 +209,28 @@ def test_unknown_wavelet_rejected(dataset, tmp_path):
                  "--wavelet", "sym4")
 
 
-def test_thread_env_does_not_change_output(dataset, tmp_path, monkeypatch):
+def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
     outs = []
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):
         monkeypatch.setenv("MEGDEN_THREADS", threads)
-        p = tmp_path / f"den{threads}.csv"
+        out = tmp_path / f"run{threads}"
+        data = out / "data"
+        assert run_main("gen", "--seed", "7", "--out", str(data), *GEN_SMALL, "--trials", "5") == 0
+        assert run_main("average", "--data", str(data), "--out", str(out / "avg.csv")) == 0
         assert run_main(
-            "denoise", "--data", str(dataset), "--out", str(p),
+            "denoise", "--data", str(data), "--out", str(out / "den.csv"),
             "--wavelet", "ahaar", "--n", "2", "--scales", "3",
         ) == 0
-        outs.append(p.read_bytes())
-    assert outs[0] == outs[1]
+        outs.append({p.name: p.read_bytes() for p in sorted(out.rglob("*.*"))})
+    assert len(outs[0]) == 8  # manifest, 5 trials, avg.csv, den.csv
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_cli_import_stays_light():
+    heavy = ("concurrent.futures", "multiprocessing", "xml.sax")
+    code = f"import megden.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_thread_env_is_an_error(dataset, tmp_path, monkeypatch, capsys):

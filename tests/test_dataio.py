@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -337,3 +339,161 @@ def test_load_trials_count_checks(tmp_path):
     save_matrix(np.zeros((3, 5)), tmp_path / trial_filename(1))
     with pytest.raises(DatasetError, match=r"trial_1\.csv.*6 columns"):
         load_dataset(tmp_path)
+
+
+def test_manifest_unit_and_period_are_strict(tmp_path):
+    p = tmp_path / "m.json"
+    good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
+            "unit": "fT", "sample_period_ms": 1.0}
+    p.write_text(json.dumps({**good, "sample_period_ms": 2}))
+    assert load_manifest(p).sample_period_ms == 2.0
+    cases = (
+        ("unit", 1, "must be a string"),
+        ("unit", None, "must be a string"),
+        ("sample_period_ms", "nan", "must be a number"),
+        ("sample_period_ms", "inf", "must be a number"),
+        ("sample_period_ms", True, "must be a number"),
+        ("sample_period_ms", "1.0", "must be a number"),
+    )
+    for key, value, reason in cases:
+        p.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(DatasetError, match=rf"m\.json: .*'{key}' {reason}"):
+            load_manifest(p)
+    # NaN and Infinity are JSON extensions that the json module accepts
+    for literal in ("0", "-1.5", "NaN", "Infinity", "-Infinity", "1e400"):
+        p.write_text(json.dumps(good).replace("1.0", literal))
+        with pytest.raises(DatasetError, match=r"m\.json: .*sample_period_ms must be finite"):
+            load_manifest(p)
+    for text in ("[1, 2]", '"fT"', "7", "null"):
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=r"m\.json: manifest must be a JSON object"):
+            load_manifest(p)
+    # json raises ValueError and RecursionError, not JSONDecodeError, for these
+    for text in ('{"sensors": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=r"m\.json: invalid JSON"):
+            load_manifest(p)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+manifest_keys = st.sampled_from(
+    ["sensors", "pre_samples", "post_samples", "trials", "unit", "sample_period_ms"]
+)
+manifest_objects = st.dictionaries(
+    manifest_keys | st.text(max_size=5),
+    json_values | st.sampled_from(["fT", 1, 2.5, "nan"]),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=manifest_objects.map(json.dumps) | st.text(max_size=40))
+def test_any_manifest_text_loads_or_raises_dataset_error(tmp_path_factory, doc):
+    p = tmp_path_factory.mktemp("manifest") / MANIFEST_NAME
+    p.write_bytes(doc.encode("utf-8"))
+    try:
+        m = load_manifest(p)
+    except DatasetError as exc:
+        assert str(exc).startswith(str(p))
+    else:
+        assert m.unit == "fT" and math.isfinite(m.sample_period_ms)
+
+
+def test_load_dataset_parses_the_manifest_once(tmp_path):
+    ts = generate_synthetic(
+        SyntheticConfig(seed=8, sensors=3, pre_samples=2, post_samples=4, trials=2)
+    )
+    write_dataset(ts, tmp_path)
+    with mock.patch.object(dataio, "load_manifest", wraps=dataio.load_manifest) as spy:
+        load_dataset(tmp_path)
+    assert spy.call_count == 1
+
+
+WORKER_COUNTS = (1, 2, 4)
+
+
+def test_worker_count_does_not_change_bits(tmp_path):
+    ts = generate_synthetic(
+        SyntheticConfig(seed=11, sensors=5, pre_samples=3, post_samples=9, trials=7)
+    )
+    files, loaded = [], []
+    for workers in WORKER_COUNTS:
+        d = tmp_path / f"w{workers}"
+        written = write_dataset(ts, d, workers=workers)
+        assert [p.name for p in written] == [MANIFEST_NAME] + [trial_filename(i) for i in range(7)]
+        files.append([p.read_bytes() for p in written])
+        back = load_dataset(tmp_path / "w1", workers=workers)
+        loaded.append(np.stack(back.trials))
+    assert files[0] == files[1] == files[2]
+    assert np.array_equal(loaded[0], np.stack(ts.trials))
+    for other in loaded[1:]:
+        assert np.array_equal(loaded[0], other)
+
+
+def test_first_error_does_not_depend_on_worker_count(tmp_path):
+    ts = generate_synthetic(
+        SyntheticConfig(seed=3, sensors=4, pre_samples=2, post_samples=5, trials=9)
+    )
+    write_dataset(ts, tmp_path)
+    (tmp_path / trial_filename(3)).write_text("1,2,3,4,5,6,7\n1,2,x,4,5,6,7\n")
+    save_matrix(np.zeros((3, 7)), tmp_path / trial_filename(7))
+    messages = set()
+    for workers in WORKER_COUNTS:
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path, workers=workers)
+        messages.add(str(err.value))
+    assert messages == {f"{tmp_path / trial_filename(3)}:2: malformed row"}
+
+    write_dataset(ts, tmp_path)
+    save_matrix(np.zeros((3, 7)), tmp_path / trial_filename(7))
+    for workers in WORKER_COUNTS:
+        with pytest.raises(DatasetError, match=r"trial_7\.csv: expected 4 rows, found 3"):
+            load_dataset(tmp_path, workers=workers)
+
+
+def _assert_no_child_left():
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children exist, none exited
+    except ChildProcessError:
+        pass  # no children at all
+
+
+def test_worker_that_dies_gives_an_os_error(tmp_path):
+    parent = os.getpid()
+
+    def job(path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return path
+
+    paths = [tmp_path / trial_filename(i) for i in range(4)]
+    signal.alarm(30)  # a hang ends the run instead of blocking it
+    try:
+        with pytest.raises(OSError, match=rf"{trial_filename(2)}: worker exited with status 3"):
+            dataio._fanout(job, paths, workers=2)
+    finally:
+        signal.alarm(0)
+    _assert_no_child_left()
+    assert dataio._fanout(job, paths, workers=1) == paths
+
+
+def test_fanout_keeps_order_and_raises_the_first_error():
+    items = list(range(11))
+    for workers in (1, 2, 3, 4, 20):
+        assert dataio._fanout(lambda x: x * x, items, workers) == [x * x for x in items]
+
+    def job(x):
+        if x in (2, 9):
+            raise KeyError(x)
+        return x
+
+    for workers in (1, 2, 4):
+        with pytest.raises(KeyError) as err:
+            dataio._fanout(job, items, workers)
+        assert err.value.args == (2,)
+    _assert_no_child_left()

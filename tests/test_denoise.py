@@ -153,14 +153,6 @@ def test_multi_is_mean_of_single_trial_outputs():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_worker_count_does_not_change_bits():
-    ts = small_trial_set(seed=11)
-    config = DenoiseConfig(family=Family.COIFLET1, scales=2)
-    one = denoise_multi(ts, config, workers=1)
-    four = denoise_multi(ts, config, workers=4)
-    assert np.array_equal(one, four)
-
-
 def test_mode_dispatch():
     ts = small_trial_set(seed=5)
     single = DenoiseConfig(family=Family.DAUBECHIES4, scales=2, mode=Mode.SINGLE_TRIAL)

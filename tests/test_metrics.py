@@ -80,6 +80,17 @@ def test_shape_mismatch_rejected():
         snir(np.zeros(6), np.zeros(6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    y = np.ones((3, 4))
+    hole = y.copy()
+    hole[1, 2] = bad
+    with pytest.raises(StructureError, match="y_mean holds a non-finite value"):
+        snir(hole, y)
+    with pytest.raises(StructureError, match="y_calc holds a non-finite value"):
+        snir(y, hole)
+
+
 def test_report_ratios_are_read_only():
     report = snir(np.ones((2, 2)), np.zeros((2, 2)))
     assert isinstance(report, SnirReport)
