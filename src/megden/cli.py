@@ -9,7 +9,8 @@ A typical end-to-end run:
     megden plot --in den.csv --out den.svg
 
 ``MEGDEN_THREADS`` caps the forked worker processes that write and parse
-the trial CSVs (0 = one per CPU); the output does not depend on it.
+the trial CSVs (0 = one per CPU this process may run on); the output
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ def _workers_from_env() -> int:
         raise ValueError(f"MEGDEN_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"MEGDEN_THREADS must be >= 0, got {value}")
-    return value if value else (os.cpu_count() or 1)
+    if value:
+        return value
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _wavelet_from_args(args) -> tuple[Family, int]:

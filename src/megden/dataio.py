@@ -249,6 +249,15 @@ def _manifest_value(raw: dict, key: str, kind, noun: str):
     return value
 
 
+def _manifest_float(raw: dict, key: str) -> float:
+    """``raw[key]`` as a float; an integer beyond the float range is not finite."""
+    value = _manifest_value(raw, key, (int, float), "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite and positive, got an integer past 1e308") from None
+
+
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
@@ -266,9 +275,7 @@ def load_manifest(path) -> Manifest:
             post_samples=_manifest_value(raw, "post_samples", int, "an integer"),
             trials=_manifest_value(raw, "trials", int, "an integer"),
             unit=_manifest_value(raw, "unit", str, "a string"),
-            sample_period_ms=float(
-                _manifest_value(raw, "sample_period_ms", (int, float), "a number")
-            ),
+            sample_period_ms=_manifest_float(raw, "sample_period_ms"),
         )
     except KeyError as exc:
         raise DatasetError(f"{path}: missing manifest key {exc.args[0]!r}") from None
@@ -375,13 +382,9 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths, workers: in
     )
 
 
-def load_trials(manifest_path, data_paths, workers: int = 1) -> TrialSet:
-    """Load a manifest plus its trial files, validating counts against the manifest.
-
-    ``workers`` > 1 parses the files in up to that many processes; the
-    result and the first error are the same for any value.
-    """
-    return _load_trial_files(load_manifest(manifest_path), manifest_path, data_paths, workers)
+def load_trials(manifest_path, data_paths) -> TrialSet:
+    """Load a manifest plus its trial files, validating counts against the manifest."""
+    return _load_trial_files(load_manifest(manifest_path), manifest_path, data_paths, 1)
 
 
 def trial_filename(index: int) -> str:
@@ -413,7 +416,8 @@ def write_dataset(trials: TrialSet, directory, workers: int = 1) -> list[Path]:
 def load_dataset(directory, workers: int = 1) -> TrialSet:
     """Load manifest.json and its trial_<i>.csv files from a dataset directory.
 
-    ``workers`` is as for ``load_trials``.
+    ``workers`` > 1 parses the trial files in up to that many processes;
+    the result and the first error are the same for any value.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import load_matrix_reference
 
-from megden.cli import main
+from megden.cli import _workers_from_env, main
 from megden.dataio import load_matrix, save_matrix
 
 GEN_SMALL = "--sensors 6 --pre 3 --post 8 --trials 2".split()
@@ -224,6 +225,16 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
         outs.append({p.name: p.read_bytes() for p in sorted(out.rglob("*.*"))})
     assert len(outs[0]) == 8  # manifest, 5 trials, avg.csv, den.csv
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("MEGDEN_THREADS", raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _workers_from_env() == 2
+    monkeypatch.setenv("MEGDEN_THREADS", "3")
+    assert _workers_from_env() == 3
 
 
 def test_cli_import_stays_light():

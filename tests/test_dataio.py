@@ -360,7 +360,7 @@ def test_manifest_unit_and_period_are_strict(tmp_path):
         with pytest.raises(DatasetError, match=rf"m\.json: .*'{key}' {reason}"):
             load_manifest(p)
     # NaN and Infinity are JSON extensions that the json module accepts
-    for literal in ("0", "-1.5", "NaN", "Infinity", "-Infinity", "1e400"):
+    for literal in ("0", "-1.5", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         p.write_text(json.dumps(good).replace("1.0", literal))
         with pytest.raises(DatasetError, match=r"m\.json: .*sample_period_ms must be finite"):
             load_manifest(p)
@@ -386,7 +386,7 @@ manifest_keys = st.sampled_from(
 )
 manifest_objects = st.dictionaries(
     manifest_keys | st.text(max_size=5),
-    json_values | st.sampled_from(["fT", 1, 2.5, "nan"]),
+    json_values | st.sampled_from(["fT", 1, 2.5, "nan", 10**400]),
     max_size=8,
 )
 
