@@ -24,7 +24,6 @@ from .denoise import (
     DenoiseConfig,
     Mode,
     SensorEstimate,
-    ThresholdRule,
     TrialSet,
     average_trials,
     concatenate_post_stimulus,
@@ -50,7 +49,6 @@ from .filters import (
 from .metrics import SnirReport, rmse, snir
 from .svgplot import PlotSpec, render_traces
 from .transform import (
-    Boundary,
     CwtQuery,
     Decomposition,
     PiecewiseConstantWavelet,
@@ -64,7 +62,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "CwtQuery",
     "DatasetError",
     "Decomposition",
@@ -81,7 +78,6 @@ __all__ = [
     "SplitMix64",
     "StructureError",
     "SyntheticConfig",
-    "ThresholdRule",
     "TrialSet",
     "adjusted_haar_freq_magnitude",
     "average_trials",

@@ -9,8 +9,8 @@ A typical end-to-end run:
     megden plot --in den.csv --out den.svg
 
 ``MEGDEN_THREADS`` caps the forked worker processes that write and parse
-the trial CSVs (0 = one per CPU this process may run on); the output
-does not depend on it.
+the trial CSVs (0 = one per CPU this process may run on; larger values
+are cut to that count); the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ def _workers_from_env() -> int:
         raise ValueError(f"MEGDEN_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"MEGDEN_THREADS must be >= 0, got {value}")
-    if value:
-        return value
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(value, cpus) if value else cpus
 
 
 def _wavelet_from_args(args) -> tuple[Family, int]:
@@ -55,7 +55,9 @@ def _wavelet_from_args(args) -> tuple[Family, int]:
 def _config_from_args(args) -> denoise.DenoiseConfig:
     family, param = _wavelet_from_args(args)
     mode = denoise.Mode(args.mode)
-    return denoise.DenoiseConfig(family=family, param=param, scales=args.scales, mode=mode)
+    return denoise.DenoiseConfig(
+        family=family, param=param, scales=args.scales, mode=mode, threshold=args.threshold
+    )
 
 
 def cmd_gen(args) -> int:
@@ -90,20 +92,7 @@ def cmd_average(args) -> int:
 def cmd_denoise(args) -> int:
     config = _config_from_args(args)
     trials = dataio.load_dataset(args.data, workers=_workers_from_env())
-    if args.threshold:
-        if config.mode is denoise.Mode.SINGLE_TRIAL:
-            picked = [denoise.select_trial(trials, args.trial)]
-        else:
-            picked = list(trials.trials)
-        acc = None
-        for t in picked:  # fixed trial order keeps the mean deterministic
-            out = denoise.threshold_denoise(
-                t, config, trials.pre_samples, trials.post_samples
-            )
-            acc = out if acc is None else acc + out
-        result = acc / len(picked)
-    else:
-        result = denoise.denoise_dataset(trials, config, trial_index=args.trial)
+    result = denoise.denoise_dataset(trials, config, trial_index=args.trial)
     dataio.save_matrix(result, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -219,4 +208,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"megden: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"megden: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1

@@ -82,6 +82,9 @@ class SyntheticConfig:
         for name in ("sensors", "pre_samples", "post_samples", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("noise_sigma", "response_amp", "response_freq_hz", "response_decay_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.response_decay_ms <= 0:

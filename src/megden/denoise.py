@@ -17,14 +17,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import StructureError
-from .filters import Family, make_filter
+from .filters import Family, _frozen, make_filter
 from .transform import Decomposition, dwt_analyze, dwt_synthesize
 
 __all__ = [
     "DenoiseConfig",
     "Mode",
     "SensorEstimate",
-    "ThresholdRule",
     "TrialSet",
     "average_trials",
     "concatenate_post_stimulus",
@@ -41,16 +40,6 @@ __all__ = [
 class Mode(Enum):
     SINGLE_TRIAL = "single"
     MULTI_TRIAL = "multi"
-
-
-class ThresholdRule(Enum):
-    UNIVERSAL = "universal"
-
-
-def _frozen(arr) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -99,12 +88,18 @@ class SensorEstimate:
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """Wavelet family/parameter, decomposition depth, and trial handling mode."""
+    """Wavelet family/parameter, decomposition depth, trial handling mode, and estimator.
+
+    ``threshold`` picks the per-trial estimator: False (the default) is the
+    approximation estimator of :func:`denoise_trial`, True the soft-threshold
+    shrinkage of :func:`threshold_denoise`.
+    """
 
     family: Family
     param: int = 0
     scales: int = 8
     mode: Mode = Mode.MULTI_TRIAL
+    threshold: bool = False
 
     def __post_init__(self) -> None:
         if self.scales < 1:
@@ -173,10 +168,16 @@ def denoise_trial(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarr
     return reconstruct_denoised(est, post)
 
 
+def _estimator(config: DenoiseConfig):
+    """The per-trial function ``config`` selects; both take (trial, config, pre, post)."""
+    return threshold_denoise if config.threshold else denoise_trial
+
+
 def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
-    """Mean of per-trial denoised outputs, reduced in trial-index order."""
+    """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order."""
     pre, post = trials.pre_samples, trials.post_samples
-    outputs = [denoise_trial(t, config, pre, post) for t in trials.trials]
+    estimator = _estimator(config)
+    outputs = [estimator(t, config, pre, post) for t in trials.trials]
     acc = np.zeros_like(outputs[0])
     for out in outputs:
         acc += out
@@ -191,9 +192,14 @@ def select_trial(trials: TrialSet, index: int) -> np.ndarray:
 
 
 def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 0) -> np.ndarray:
-    """Dispatch on ``config.mode``: one designated trial, or the all-trial mean."""
+    """Denoise ``trials`` with ``config``'s estimator: the one entry point for both.
+
+    ``config.mode`` picks one designated trial (``trial_index``, range
+    checked) or the fixed trial-order mean over all trials; ``config.threshold``
+    picks the approximation or the soft-threshold estimator.
+    """
     if config.mode is Mode.SINGLE_TRIAL:
-        return denoise_trial(
+        return _estimator(config)(
             select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
         )
     return denoise_multi(trials, config)
@@ -207,21 +213,13 @@ def average_trials(trials: TrialSet) -> np.ndarray:
     return acc / len(trials)
 
 
-def threshold_denoise(
-    trial,
-    config: DenoiseConfig,
-    pre: int,
-    post: int,
-    rule: ThresholdRule = ThresholdRule.UNIVERSAL,
-) -> np.ndarray:
+def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:
     """Soft-threshold the detail bands of the concatenated vector and reconstruct.
 
     Universal rule: noise scale sigma = median(|d1|)/0.6745 from the
     finest details, threshold lambda = sigma * sqrt(2 ln(K*post)) applied
     to every detail band.
     """
-    if rule is not ThresholdRule.UNIVERSAL:
-        raise ValueError(f"unsupported threshold rule {rule!r}")
     m = np.asarray(trial, dtype=np.float64)
     vec = concatenate_post_stimulus(m, pre, post)
     pair = make_filter(config.family, config.param)
@@ -230,6 +228,6 @@ def threshold_denoise(
     lam = sigma * math.sqrt(2.0 * math.log(vec.size))
     shrunk = tuple(np.sign(d) * np.maximum(np.abs(d) - lam, 0.0) for d in dec.details)
     rebuilt = dwt_synthesize(
-        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths, dec.boundary), pair
+        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths), pair
     )
     return rebuilt.reshape(m.shape[0], post)

@@ -42,6 +42,7 @@ class Family(Enum):
 
 
 def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy, so a frozen dataclass never aliases the caller's array."""
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DepthError, StructureError
-from .filters import FilterPair
+from .filters import FilterPair, _frozen
 
 __all__ = [
-    "Boundary",
     "CwtQuery",
     "Decomposition",
     "PiecewiseConstantWavelet",
@@ -33,18 +31,6 @@ __all__ = [
     "haar_mother",
     "max_decomposition_depth",
 ]
-
-
-class Boundary(Enum):
-    """Boundary policy; only circular wrap with repeat-last odd extension is supported."""
-
-    PERIODIZED = "periodized"
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -61,7 +47,6 @@ class Decomposition:
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
     lengths: tuple[int, ...]
-    boundary: Boundary = Boundary.PERIODIZED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "approx", _frozen(self.approx))

@@ -1,9 +1,11 @@
-"""Straight-loop reference implementations of megden's text I/O.
+"""Straight-loop reference implementations of megden's text I/O and threshold mean.
 
 The library writes CSV with one format string per row, parses it with
 ``np.loadtxt`` and formats SVG points with one format string per
 polyline. These per-value versions are the semantic references the
-tests hold those fast paths to, byte for byte and bit for bit.
+tests hold those fast paths to, byte for byte and bit for bit. The
+threshold mean is the per-trial loop that ``denoise --threshold`` ran
+before it went through ``denoise_dataset``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from megden.denoise import DenoiseConfig, Mode, TrialSet, select_trial, threshold_denoise
 from megden.errors import DatasetError
 from megden.svgplot import _PALETTE, PlotSpec
 
@@ -50,6 +53,19 @@ def load_matrix_reference(path) -> np.ndarray:
     if not rows:
         raise DatasetError(f"{path}:1: empty data file")
     return np.array(rows, dtype=np.float64)
+
+
+def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int = 0) -> np.ndarray:
+    """Fixed trial-order mean of ``threshold_denoise``, accumulated from the first output."""
+    if config.mode is Mode.SINGLE_TRIAL:
+        picked = [select_trial(trials, index)]
+    else:
+        picked = list(trials.trials)
+    acc = None
+    for t in picked:
+        out = threshold_denoise(t, config, trials.pre_samples, trials.post_samples)
+        acc = out if acc is None else acc + out
+    return acc / len(picked)
 
 
 def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:

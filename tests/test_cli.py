@@ -8,6 +8,7 @@ import pytest
 
 from oracles import load_matrix_reference
 
+from megden import dataio
 from megden.cli import _workers_from_env, main
 from megden.dataio import load_matrix, save_matrix
 
@@ -229,12 +230,51 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
 
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
     monkeypatch.delenv("MEGDEN_THREADS", raising=False)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _workers_from_env() == 2
-    monkeypatch.setenv("MEGDEN_THREADS", "3")
-    assert _workers_from_env() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _workers_from_env() == 2
+    for threads, want in (("1", 1), ("2", 2), ("3", 2)):
+        monkeypatch.setenv("MEGDEN_THREADS", threads)
+        assert _workers_from_env() == want
+
+
+def test_thread_env_is_capped_at_the_affinity_mask(tmp_path, monkeypatch, capsys):
+    # os.fork is a counter that starts no process: the parent reads EOF from
+    # the pipe and the stubbed reap, so every "child" reports no result
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
+    monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
+    monkeypatch.setenv("MEGDEN_THREADS", "64")
+    argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL, "--trials", "8"]
+    assert run_main(*argv) == 1
+    assert "without a result" in capsys.readouterr().err
+    assert len(forks) == 1  # two workers: the parent plus one child
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--amp", "inf"), ("--amp", "-inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+     ("--freq", "nan"), ("--freq", "inf"), ("--decay", "nan"), ("--decay", "inf")],
+)
+def test_gen_rejects_non_finite_options(tmp_path, capsys, flag, value):
+    out = tmp_path / "d"
+    assert run_main("gen", "--out", str(out), *GEN_SMALL, f"{flag}={value}") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("megden: error:") and "finite" in err[0]
+    assert not list(tmp_path.rglob("trial_*.csv"))
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 204. TiB for an array"])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, message):
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dataio, "generate_synthetic", exhausted)
+    assert run_main("gen", "--out", str(tmp_path / "d"), *GEN_SMALL) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("megden: error: out of memory")
+    assert not list(tmp_path.rglob("trial_*.csv"))
 
 
 def test_cli_import_stays_light():

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import threshold_mean_reference
+
+from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.denoise import (
     DenoiseConfig,
     Mode,
@@ -198,7 +201,7 @@ def test_threshold_matches_reference_shrinkage():
     lam = sigma * np.sqrt(2.0 * np.log(vec.size))
     shrunk = tuple(np.where(np.abs(d) > lam, d - np.sign(d) * lam, 0.0) for d in dec.details)
     want = dwt_synthesize(
-        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths, dec.boundary), pair
+        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths), pair
     ).reshape(4, post)
     assert got.shape == (4, post)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -221,7 +224,7 @@ def test_threshold_zeroes_pure_noise_details():
     approx_only = dwt_synthesize(
         Decomposition(
             dec.levels, dec.approx, tuple(np.zeros_like(d) for d in dec.details),
-            dec.lengths, dec.boundary,
+            dec.lengths,
         ),
         pair,
     ).reshape(4, post)
@@ -260,11 +263,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(family=Family.ADJUSTED_HAAR, param=-1)
     assert DenoiseConfig(family=Family.DAUBECHIES4).mode is Mode.MULTI_TRIAL
+    assert DenoiseConfig(family=Family.DAUBECHIES4).threshold is False
 
 
-def test_threshold_rule_is_checked():
-    class FakeRule:
-        pass
+@pytest.fixture(scope="module")
+def seed42():
+    return generate_synthetic(SyntheticConfig(seed=42))
 
-    with pytest.raises(ValueError):
-        threshold_denoise(np.zeros((2, 4)), HAAR0, 0, 4, rule=FakeRule())
+
+@pytest.mark.parametrize(
+    "family,param", [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0), (Family.ADJUSTED_HAAR, 2)],
+    ids=["db4", "coif1", "ahaar2"],
+)
+@pytest.mark.parametrize("mode,index", [("multi", 0), ("single", 0), ("single", -1)],
+                         ids=["multi", "single-first", "single-last"])
+def test_threshold_dataset_matches_the_per_trial_loop(seed42, family, param, mode, index):
+    index %= len(seed42)
+    config = DenoiseConfig(family=family, param=param, mode=Mode(mode), threshold=True)
+    got = denoise_dataset(seed42, config, trial_index=index)
+    want = threshold_mean_reference(seed42, config, index)
+    assert got.tobytes() == want.tobytes()

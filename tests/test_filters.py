@@ -16,6 +16,8 @@ from megden.filters import (
     make_filter,
     qmf_highpass,
 )
+from megden.transform import Decomposition
+from megden.denoise import SensorEstimate, TrialSet
 
 ALL_PAIRS = [
     make_daubechies4(),
@@ -174,3 +176,26 @@ def test_freq_magnitude_rejects_bad_args():
 )
 def test_freq_magnitude_envelope_bound(n, omega):
     assert adjusted_haar_freq_magnitude(n, omega) <= 4.0 / ((2 * n + 1) * omega)
+
+
+@pytest.mark.parametrize(
+    "shape,build",
+    [
+        ((4,), lambda a, b: Decomposition(1, a, (b,), (8,))),
+        ((1, 4), lambda a, b: TrialSet((a, b), sensors=1, pre_samples=1, post_samples=3)),
+        ((4,), lambda a, b: FilterPair(Family.DAUBECHIES4, 0, a, b)),
+        ((4,), lambda a, b: SensorEstimate(a, wavelet_count=4, mean_filled_count=0)),
+    ],
+    ids=["Decomposition", "TrialSet", "FilterPair", "SensorEstimate"],
+)
+def test_constructors_leave_the_callers_arrays_alone(shape, build):
+    a = np.arange(4.0).reshape(shape)
+    b = np.full(shape, -0.5)
+    built = build(a, b)
+    assert a.flags.writeable and b.flags.writeable
+    assert np.array_equal(a, np.arange(4.0).reshape(shape)) and np.array_equal(b, np.full(shape, -0.5))
+    for value in vars(built).values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable
+                assert not np.shares_memory(arr, a) and not np.shares_memory(arr, b)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from megden.errors import DepthError, StructureError
 from megden.filters import make_adjusted_haar, make_coiflet1, make_daubechies4
 from megden.transform import (
-    Boundary,
     CwtQuery,
     Decomposition,
     PiecewiseConstantWavelet,
@@ -49,7 +48,6 @@ def test_single_level_matches_reference(pair, length):
     assert np.max(np.abs(dec.approx - want_a)) < 1e-12
     assert np.max(np.abs(dec.details[0] - want_d)) < 1e-12
     assert dec.lengths == (length,)
-    assert dec.boundary is Boundary.PERIODIZED
 
 
 @pytest.mark.parametrize(
@@ -112,7 +110,6 @@ def test_synthesize_constant_case_directly():
         approx=np.array([root2, root2]),
         details=(np.zeros(2),),
         lengths=(4,),
-        boundary=Boundary.PERIODIZED,
     )
     assert np.allclose(dwt_synthesize(dec, haar), [1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
@@ -181,7 +178,6 @@ def test_synthesize_rejects_inconsistent_structure():
         approx=np.zeros(dec.approx.size + 1),
         details=dec.details,
         lengths=dec.lengths,
-        boundary=dec.boundary,
     )
     with pytest.raises(StructureError):
         dwt_synthesize(wrong_approx, pair)
@@ -190,7 +186,6 @@ def test_synthesize_rejects_inconsistent_structure():
         approx=dec.approx,
         details=(dec.details[0][:-1], dec.details[1]),
         lengths=dec.lengths,
-        boundary=dec.boundary,
     )
     with pytest.raises(StructureError):
         dwt_synthesize(wrong_detail, pair)
@@ -203,7 +198,6 @@ def test_decomposition_validates_level_count():
             approx=np.zeros(4),
             details=(np.zeros(8),),
             lengths=(16, 8),
-            boundary=Boundary.PERIODIZED,
         )
 
 
