@@ -140,20 +140,29 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
 
     total = config.pre_samples + config.post_samples
     t_ms = np.arange(config.post_samples, dtype=np.float64)  # time since stimulus
-    response = (
-        config.response_amp
-        * np.exp(-t_ms / config.response_decay_ms)
-        * np.sin(2.0 * math.pi * config.response_freq_hz * t_ms / 1000.0)
-    )
-    base = np.zeros((config.sensors, total))
-    base[:, config.pre_samples :] = gains[:, None] * response[None, :]
+    # Finite but extreme options can overflow; the result is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = (
+            config.response_amp
+            * np.exp(-t_ms / config.response_decay_ms)
+            * np.sin(2.0 * math.pi * config.response_freq_hz * t_ms / 1000.0)
+        )
+        base = np.zeros((config.sensors, total))
+        base[:, config.pre_samples :] = gains[:, None] * response[None, :]
 
-    if config.noise_sigma > 0.0:
-        noise = rng.gaussian(config.trials * config.sensors * total)
-        noise = config.noise_sigma * noise.reshape(config.trials, config.sensors, total)
-        mats = [base + noise[i] for i in range(config.trials)]
-    else:
-        mats = [base.copy() for _ in range(config.trials)]
+        if config.noise_sigma > 0.0:
+            noise = rng.gaussian(config.trials * config.sensors * total)
+            noise = config.noise_sigma * noise.reshape(config.trials, config.sensors, total)
+            mats = [base + noise[i] for i in range(config.trials)]
+        else:
+            mats = [base.copy() for _ in range(config.trials)]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ValueError(
+            f"synthetic samples are not finite for noise_sigma={config.noise_sigma!r}, "
+            f"response_amp={config.response_amp!r}, "
+            f"response_freq_hz={config.response_freq_hz!r}, "
+            f"response_decay_ms={config.response_decay_ms!r}"
+        )
     return TrialSet(
         tuple(mats), config.sensors, config.pre_samples, config.post_samples
     )

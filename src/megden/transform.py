@@ -9,6 +9,18 @@ periodized: each level computes the decimated periodic correlations
 after extending an odd-length working signal by repeating its final
 sample. The even-index alignment above is a fixed convention so that
 coefficient values are reproducible bit for bit.
+
+Both kernels work on the even and odd phases x_0[j] = x[2j] and
+x_1[j] = x[2j + 1] of the periodic signal, so every tap is a contiguous
+slice,
+
+    a[i] = sum_k h[k] * x_{k%2}[i + k//2],
+
+and synthesis adds tap k's term h[k]*a + g[k]*d to output phase k%2
+rotated by k//2. Every output element is summed from 0.0 over the taps
+in ascending k. That order keeps the outputs byte-identical: reordering
+the taps, starting from the first product (0.0 + -0.0 is 0.0), or a dot
+product or convolution routine changes the last bits.
 """
 
 from __future__ import annotations
@@ -73,13 +85,14 @@ def max_decomposition_depth(length: int) -> int:
 def _analyze_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.size % 2:
         x = np.append(x, x[-1])  # repeat-last extension before the periodic wrap
-    n = x.size
-    # np.resize tiles cyclically, so xp[j] == x[j mod n] for every j.
-    xp = np.resize(x, n + h.size - 1)
-    a = np.zeros(n // 2)
-    d = np.zeros(n // 2)
+    m = x.size // 2
+    # np.resize tiles cyclically, so phases[p][j] == x[(2j + p) mod 2m] for every j;
+    # each is a contiguous copy, so every tap reads a plain slice.
+    phases = [np.resize(x[p::2], m + (h.size - 1) // 2) for p in (0, 1)]
+    a = np.zeros(m)
+    d = np.zeros(m)
     for k in range(h.size):
-        window = xp[k : k + n : 2]
+        window = phases[k % 2][k // 2 : k // 2 + m]
         a += h[k] * window
         d += g[k] * window
     return a, d
@@ -88,12 +101,16 @@ def _analyze_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
 def _synthesize_step(
     a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray, out_len: int
 ) -> np.ndarray:
-    n = 2 * a.size
-    y = np.zeros(n)
-    even = 2 * np.arange(a.size)
+    m = a.size
+    phases = (np.zeros(m), np.zeros(m))  # y[2j] and y[2j + 1]
     for k in range(h.size):
-        pos = (even + k) % n  # distinct positions for fixed k, so += is collision free
-        y[pos] += h[k] * a + g[k] * d
+        # tap k lands on y[(2i + k) mod 2m]: phase k % 2, rotated by k // 2
+        v = h[k] * a + g[k] * d
+        phase, s = phases[k % 2], (k // 2) % m
+        phase[s:] += v[: m - s]
+        phase[:s] += v[m - s :]
+    y = np.empty(2 * m)
+    y[0::2], y[1::2] = phases
     return y[:out_len]
 
 

@@ -5,7 +5,9 @@ The library writes CSV with one format string per row, parses it with
 polyline. These per-value versions are the semantic references the
 tests hold those fast paths to, byte for byte and bit for bit. The
 threshold mean is the per-trial loop that ``denoise --threshold`` ran
-before it went through ``denoise_dataset``.
+before it went through ``denoise_dataset``. The DWT references read each
+tap through a stride-2 window and scatter it through an index array;
+the library's phase-slice kernels must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from megden.denoise import DenoiseConfig, Mode, TrialSet, select_trial, threshold_denoise
 from megden.errors import DatasetError
+from megden.filters import FilterPair
 from megden.svgplot import _PALETTE, PlotSpec
 
 
@@ -66,6 +69,51 @@ def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int
         out = threshold_denoise(t, config, trials.pre_samples, trials.post_samples)
         acc = out if acc is None else acc + out
     return acc / len(picked)
+
+
+def analyze_step_reference(x: np.ndarray, h: np.ndarray, g: np.ndarray):
+    """One analysis level: tap k reads the stride-2 window ``xp[k : k + n : 2]``."""
+    if x.size % 2:
+        x = np.append(x, x[-1])
+    n = x.size
+    xp = np.resize(x, n + h.size - 1)
+    a = np.zeros(n // 2)
+    d = np.zeros(n // 2)
+    for k in range(h.size):
+        window = xp[k : k + n : 2]
+        a += h[k] * window
+        d += g[k] * window
+    return a, d
+
+
+def synthesize_step_reference(a, d, h, g, out_len: int) -> np.ndarray:
+    """One synthesis level: tap k scatters into ``y[(2i + k) mod n]`` by index array."""
+    n = 2 * a.size
+    y = np.zeros(n)
+    even = 2 * np.arange(a.size)
+    for k in range(h.size):
+        pos = (even + k) % n  # distinct positions for fixed k, so += is collision free
+        y[pos] += h[k] * a + g[k] * d
+    return y[:out_len]
+
+
+def dwt_analyze_reference(x, filters: FilterPair, levels: int):
+    """(approx, details finest first, lengths) through ``analyze_step_reference``."""
+    a = np.asarray(x, dtype=np.float64)
+    details, lengths = [], []
+    for _ in range(levels):
+        lengths.append(a.size)
+        a, d = analyze_step_reference(a, filters.lowpass, filters.highpass)
+        details.append(d)
+    return a, details, lengths
+
+
+def dwt_synthesize_reference(approx, details, lengths, filters: FilterPair) -> np.ndarray:
+    """Inverse of ``dwt_analyze_reference`` through ``synthesize_step_reference``."""
+    a = approx
+    for d, n in zip(reversed(details), reversed(lengths)):
+        a = synthesize_step_reference(a, d, filters.lowpass, filters.highpass, n)
+    return a
 
 
 def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:

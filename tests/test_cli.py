@@ -255,14 +255,26 @@ def test_thread_env_is_capped_at_the_affinity_mask(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize(
     "flag,value",
     [("--amp", "inf"), ("--amp", "-inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
-     ("--freq", "nan"), ("--freq", "inf"), ("--decay", "nan"), ("--decay", "inf")],
+     ("--freq", "nan"), ("--freq", "inf"), ("--decay", "nan"), ("--decay", "inf"),
+     # finite options whose samples overflow float64
+     ("--noise-sigma", "1e308"), ("--freq", "1e308")],
 )
+@pytest.mark.filterwarnings("error")
 def test_gen_rejects_non_finite_options(tmp_path, capsys, flag, value):
     out = tmp_path / "d"
     assert run_main("gen", "--out", str(out), *GEN_SMALL, f"{flag}={value}") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("megden: error:") and "finite" in err[0]
     assert not list(tmp_path.rglob("trial_*.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_gen_accepts_a_decay_that_underflows_to_zero(tmp_path, capsys):
+    # -t / 1e-320 overflows to -inf, and exp(-inf) is a finite 0
+    out = tmp_path / "d"
+    assert run_main("gen", "--out", str(out), *GEN_SMALL, "--decay=1e-320") == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(dataio.load_dataset(out).trials[0]).all()
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 204. TiB for an array"])

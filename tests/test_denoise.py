@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import threshold_mean_reference
 
@@ -22,7 +24,7 @@ from megden.denoise import (
 )
 from megden.errors import StructureError
 from megden.filters import Family, make_filter
-from megden.transform import Decomposition, dwt_analyze, dwt_synthesize
+from megden.transform import Decomposition, dwt_analyze, dwt_synthesize, max_decomposition_depth
 
 HAAR0 = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=2)
 
@@ -135,15 +137,29 @@ def test_opposite_trials_cancel():
     assert not np.any(denoise_multi(ts, config))
 
 
-def test_pipeline_is_linear():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(5, 24))
-    y = rng.normal(size=(5, 24))
-    config = DenoiseConfig(family=Family.COIFLET1, scales=3)
-    combo = denoise_trial(2.0 * x - 0.5 * y, config, 8, 16)
-    parts = 2.0 * denoise_trial(x, config, 8, 16) - 0.5 * denoise_trial(y, config, 8, 16)
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(
+        [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0)]
+        + [(Family.ADJUSTED_HAAR, n) for n in range(9)]
+    ),
+    sensors=st.integers(min_value=1, max_value=12),
+    pre=st.integers(min_value=0, max_value=6),
+    post=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    draw=st.data(),
+)
+def test_pipeline_is_linear(family, sensors, pre, post, seed, draw):
+    assume(sensors * post >= 2)
+    scales = draw.draw(st.integers(1, max_decomposition_depth(sensors * post)))
+    config = DenoiseConfig(family=family[0], param=family[1], scales=scales)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(sensors, pre + post))
+    y = rng.normal(size=(sensors, pre + post))
+    combo = denoise_trial(2.0 * x - 0.5 * y, config, pre, post)
+    parts = 2.0 * denoise_trial(x, config, pre, post) - 0.5 * denoise_trial(y, config, pre, post)
     scale = np.max(np.abs(parts))
-    assert np.max(np.abs(combo - parts)) <= 1e-9 * scale
+    assert np.max(np.abs(combo - parts)) <= 1e-12 * scale
 
 
 def test_multi_is_mean_of_single_trial_outputs():
