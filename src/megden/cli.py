@@ -8,9 +8,9 @@ A typical end-to-end run:
     megden snir --mean avg.csv --calc den.csv
     megden plot --in den.csv --out den.svg
 
-``MEGDEN_THREADS`` caps the forked worker processes that write and parse
-the trial CSVs (0 = one per CPU this process may run on; larger values
-are cut to that count); the output does not depend on it.
+The trial CSVs are written and parsed by one forked worker per CPU in
+the process's affinity mask (narrow it with ``taskset``); the output does
+not depend on the count.
 """
 
 from __future__ import annotations
@@ -27,19 +27,10 @@ from .svgplot import PlotSpec, render_traces
 WAVELET_NAMES = tuple(f.value for f in Family)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("MEGDEN_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"MEGDEN_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"MEGDEN_THREADS must be >= 0, got {value}")
+def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(value, cpus) if value else cpus
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _wavelet_from_args(args) -> tuple[Family, int]:
@@ -73,14 +64,14 @@ def cmd_gen(args) -> int:
         response_decay_ms=args.decay,
     )
     written = dataio.write_dataset(
-        dataio.generate_synthetic(config), args.out, workers=_workers_from_env()
+        dataio.generate_synthetic(config), args.out, workers=_worker_count()
     )
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
 def cmd_average(args) -> int:
-    trials = dataio.load_dataset(args.data, workers=_workers_from_env())
+    trials = dataio.load_dataset(args.data, workers=_worker_count())
     avg = denoise.average_trials(trials)
     if args.window == "post":
         avg = avg[:, trials.pre_samples :]
@@ -91,8 +82,12 @@ def cmd_average(args) -> int:
 
 def cmd_denoise(args) -> int:
     config = _config_from_args(args)
-    trials = dataio.load_dataset(args.data, workers=_workers_from_env())
-    result = denoise.denoise_dataset(trials, config, trial_index=args.trial)
+    if args.trial is not None and config.mode is not denoise.Mode.SINGLE_TRIAL:
+        raise ValueError("--trial applies only to --mode single")
+    trials = dataio.load_dataset(args.data, workers=_worker_count())
+    result = denoise.denoise_dataset(
+        trials, config, trial_index=0 if args.trial is None else args.trial
+    )
     dataio.save_matrix(result, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -173,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_wavelet_flags(p)
     p.add_argument("--scales", type=int, default=8, help="decomposition depth")
     p.add_argument("--mode", choices=("single", "multi"), default="multi")
-    p.add_argument("--trial", type=int, default=0, help="trial index for single mode")
+    p.add_argument(
+        "--trial", type=int, default=None, help="trial index (--mode single only, default 0)"
+    )
     p.add_argument(
         "--threshold",
         action="store_true",

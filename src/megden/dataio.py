@@ -39,6 +39,13 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
+def _check_counts(config) -> None:
+    """``pre_samples`` may be 0; the other three counts must be at least 1."""
+    for name, least in (("sensors", 1), ("pre_samples", 0), ("post_samples", 1), ("trials", 1)):
+        if getattr(config, name) < least:
+            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class Manifest:
     """Dataset geometry and units; one JSON document per dataset directory."""
@@ -51,9 +58,7 @@ class Manifest:
     sample_period_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("sensors", "pre_samples", "post_samples", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_counts(self)
         if self.unit != "fT":
             raise ValueError(f"unit must be 'fT', got {self.unit!r}")
         if not (math.isfinite(self.sample_period_ms) and self.sample_period_ms > 0):
@@ -79,9 +84,7 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        for name in ("sensors", "pre_samples", "post_samples", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_counts(self)
         for name in ("noise_sigma", "response_amp", "response_freq_hz", "response_decay_ms"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -120,32 +120,20 @@ def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:
     return m[:, pre:].reshape(-1)
 
 
-def estimate_sensors(concat, config: DenoiseConfig, trial) -> SensorEstimate:
+def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> SensorEstimate:
     """Estimate one amplitude per sensor from the deep approximation band.
 
-    Approximation coefficients are rescaled by 2^(-J/2) to undo the
-    transform's per-level sqrt(2) gain. Coefficient i maps to sensor i;
-    surplus coefficients are dropped, and sensors beyond the coefficient
-    count get their own post-stimulus temporal mean instead.
+    The post-stimulus rows are concatenated and decomposed; approximation
+    coefficients are rescaled by 2^(-J/2) to undo the transform's
+    per-level sqrt(2) gain. Coefficient i maps to sensor i; surplus
+    coefficients are dropped, and sensors beyond the coefficient count
+    get their own post-stimulus temporal mean instead.
     """
-    vec = np.asarray(concat, dtype=np.float64)
     m = np.asarray(trial, dtype=np.float64)
-    if vec.ndim != 1 or m.ndim != 2:
-        raise StructureError("need a 1-D concatenated vector and a 2-D trial matrix")
-    sensors = m.shape[0]
-    if vec.size == 0 or vec.size % sensors:
-        raise StructureError(
-            f"concatenated length {vec.size} is not a multiple of {sensors} sensors"
-        )
-    post = vec.size // sensors
-    if m.shape[1] < post:
-        raise StructureError(
-            f"trial has {m.shape[1]} columns, fewer than the {post}-sample window"
-        )
-    pre = m.shape[1] - post
-
+    vec = concatenate_post_stimulus(m, pre, post)
     dec = dwt_analyze(vec, make_filter(config.family, config.param), config.scales)
     approx = dec.approx * 2.0 ** (-config.scales / 2.0)
+    sensors = m.shape[0]
     count = min(approx.size, sensors)
     values = np.empty(sensors)
     values[:count] = approx[:count]
@@ -163,9 +151,7 @@ def reconstruct_denoised(est: SensorEstimate, post: int) -> np.ndarray:
 
 def denoise_trial(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:
     """Concatenate -> estimate -> reconstruct for one K x (pre+post) trial."""
-    vec = concatenate_post_stimulus(trial, pre, post)
-    est = estimate_sensors(vec, config, trial)
-    return reconstruct_denoised(est, post)
+    return reconstruct_denoised(estimate_sensors(trial, config, pre, post), post)
 
 
 def _estimator(config: DenoiseConfig):
@@ -177,11 +163,10 @@ def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
     """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order."""
     pre, post = trials.pre_samples, trials.post_samples
     estimator = _estimator(config)
-    outputs = [estimator(t, config, pre, post) for t in trials.trials]
-    acc = np.zeros_like(outputs[0])
-    for out in outputs:
-        acc += out
-    return acc / len(outputs)
+    acc = np.zeros((trials.sensors, post))
+    for t in trials.trials:
+        acc += estimator(t, config, pre, post)
+    return acc / len(trials)
 
 
 def select_trial(trials: TrialSet, index: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from megden.cli import _workers_from_env
 from megden.dataio import SyntheticConfig, generate_synthetic, load_dataset, write_dataset
 from megden.denoise import (
     DenoiseConfig,
@@ -105,7 +104,7 @@ def test_criterion_3_dimension_chain(report):
     ts = generate_synthetic(SyntheticConfig(seed=42, trials=1))
     trial = ts.trials[0]
     vec = concatenate_post_stimulus(trial, 120, 241)
-    est = estimate_sensors(vec, DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2), trial)
+    est = estimate_sensors(trial, DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2), 120, 241)
     ok = (
         dec.approx.size == 258
         and vec.size == 66034
@@ -162,10 +161,8 @@ def test_criterion_6_snir_fixed_points(report):
     )
 
 
-def test_criterion_7_deterministic_chain(report, monkeypatch, tmp_path):
-    def chain(threads, data):
-        monkeypatch.setenv("MEGDEN_THREADS", threads)
-        workers = _workers_from_env()
+def test_criterion_7_deterministic_chain(report, tmp_path):
+    def chain(workers, data):
         written = write_dataset(generate_synthetic(SyntheticConfig(seed=42)), data, workers)
         ts = load_dataset(data, workers)
         reference = average_trials(ts)[:, ts.pre_samples :]
@@ -175,7 +172,7 @@ def test_criterion_7_deterministic_chain(report, monkeypatch, tmp_path):
             out.append((den.tobytes(), snir(reference, den).snir_db))
         return out
 
-    runs = [chain(threads, tmp_path / f"run{i}") for i, threads in enumerate(("1", "1", "4"))]
+    runs = [chain(workers, tmp_path / f"run{i}") for i, workers in enumerate((1, 1, 4))]
     first = runs[0]
     ok = all(run == first for run in runs[1:])
     values = []

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from megden import denoise
+from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.filters import Family
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -42,3 +43,26 @@ def test_bench_modes_and_threshold_signature():
     config = denoise.DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=2)
     out = denoise.threshold_denoise(np.ones((2, 6)), config, 2, 4)
     assert out.shape == (2, 4)
+
+
+def test_traced_layers_run_once_per_trial(monkeypatch):
+    # bench/tracing.py rebinds these module attributes; a pipeline that went
+    # around them would lose its per-layer spans and the 258/16 counts
+    def recording(original, results):
+        def wrapper(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+        return wrapper
+
+    calls = {"concatenate_post_stimulus": [], "estimate_sensors": []}
+    for name, results in calls.items():
+        monkeypatch.setattr(denoise, name, recording(getattr(denoise, name), results))
+    trials = generate_synthetic(SyntheticConfig(seed=42))
+    config = denoise.DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2, scales=8)
+    assert denoise.denoise_dataset(trials, config).shape == (274, 241)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "concatenate_post_stimulus": 10, "estimate_sensors": 10
+    }
+    assert {(e.wavelet_count, e.mean_filled_count) for e in calls["estimate_sensors"]} == {
+        (258, 16)
+    }

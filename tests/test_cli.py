@@ -9,7 +9,7 @@ import pytest
 from oracles import load_matrix_reference
 
 from megden import dataio
-from megden.cli import _workers_from_env, main
+from megden.cli import _worker_count, main
 from megden.dataio import load_matrix, save_matrix
 
 GEN_SMALL = "--sensors 6 --pre 3 --post 8 --trials 2".split()
@@ -61,13 +61,18 @@ def test_denoise_output_shape(dataset, tmp_path):
 
 
 def test_denoise_single_mode_picks_one_trial(dataset, tmp_path):
-    single = tmp_path / "s.csv"
-    code = run_main(
-        "denoise", "--data", str(dataset), "--out", str(single),
-        "--wavelet", "db4", "--scales", "3", "--mode", "single", "--trial", "1",
-    )
-    assert code == 0
-    assert load_matrix(single).shape == (6, 8)
+    outs = {}
+    for trial in ([], ["--trial", "0"], ["--trial", "1"]):
+        single = tmp_path / f"s{len(outs)}.csv"
+        code = run_main(
+            "denoise", "--data", str(dataset), "--out", str(single),
+            "--wavelet", "db4", "--scales", "3", "--mode", "single", *trial,
+        )
+        assert code == 0
+        assert load_matrix(single).shape == (6, 8)
+        outs[tuple(trial)] = single.read_bytes()
+    # without --trial, single mode denoises trial 0
+    assert outs[()] == outs[("--trial", "0")] != outs[("--trial", "1")]
 
 
 def test_denoise_threshold_flag(dataset, tmp_path):
@@ -107,17 +112,30 @@ def test_snir_ratio_dump(dataset, tmp_path, capsys):
     assert np.all(dumped == np.inf)
 
 
-@pytest.mark.parametrize("trial", ["7", "-1"])
-def test_threshold_single_trial_out_of_range(dataset, tmp_path, capsys, trial):
+@pytest.mark.parametrize(
+    "trial,mode,threshold",
+    [
+        pytest.param("7", ["--mode", "single"], True, id="7"),
+        pytest.param("-1", ["--mode", "single"], True, id="-1"),
+        # --trial picks nothing outside single mode, so any value is an error
+        pytest.param("99", [], True, id="multi-99-threshold"),
+        pytest.param("99", [], False, id="multi-99"),
+        pytest.param("-5", ["--mode", "multi"], True, id="multi--5-threshold"),
+        pytest.param("-5", ["--mode", "multi"], False, id="multi--5"),
+    ],
+)
+def test_threshold_single_trial_out_of_range(dataset, tmp_path, capsys, trial, mode, threshold):
     code = run_main(
         "denoise", "--data", str(dataset), "--out", str(tmp_path / "t.csv"),
-        "--wavelet", "db4", "--scales", "3", "--threshold", "--mode", "single",
-        "--trial", trial,
+        "--wavelet", "db4", "--scales", "3", *mode, "--trial", trial,
+        *(["--threshold"] if threshold else []),
     )
     assert code == 1
-    assert capsys.readouterr().err == (
-        f"megden: error: trial index {trial} out of range 0..1\n"
-    )
+    if mode == ["--mode", "single"]:
+        want = f"trial index {trial} out of range 0..1"
+    else:
+        want = "--trial applies only to --mode single"
+    assert capsys.readouterr().err == f"megden: error: {want}\n"
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -213,9 +231,10 @@ def test_unknown_wavelet_rejected(dataset, tmp_path):
 
 def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
     outs = []
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("MEGDEN_THREADS", threads)
-        out = tmp_path / f"run{threads}"
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _worker_count() == cpus
+        out = tmp_path / f"run{cpus}"
         data = out / "data"
         assert run_main("gen", "--seed", "7", "--out", str(data), *GEN_SMALL, "--trials", "5") == 0
         assert run_main("average", "--data", str(data), "--out", str(out / "avg.csv")) == 0
@@ -228,19 +247,24 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_default_workers_follow_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("MEGDEN_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch, capsys):
+    # os.fork is a counter that starts no process: the parent reads EOF from
+    # the pipe and the stubbed reap, so every "child" reports no result
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert _workers_from_env() == 2
-    for threads, want in (("1", 1), ("2", 2), ("3", 2)):
-        monkeypatch.setenv("MEGDEN_THREADS", threads)
-        assert _workers_from_env() == want
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
+    monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
+    assert _worker_count() == 3
+    argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL, "--trials", "8"]
+    assert run_main(*argv) == 1
+    assert "without a result" in capsys.readouterr().err
+    assert len(forks) == 2  # three workers: the parent plus two children
 
 
 def test_thread_env_is_capped_at_the_affinity_mask(tmp_path, monkeypatch, capsys):
-    # os.fork is a counter that starts no process: the parent reads EOF from
-    # the pipe and the stubbed reap, so every "child" reports no result
+    # MEGDEN_THREADS is not read: a large value still gives one worker per CPU
+    # in the mask. os.fork is a counter that starts no process
     forks = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
@@ -294,16 +318,6 @@ def test_cli_import_stays_light():
     code = f"import megden.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_bad_thread_env_is_an_error(dataset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MEGDEN_THREADS", "many")
-    code = run_main(
-        "denoise", "--data", str(dataset), "--out", str(tmp_path / "d.csv"),
-        "--wavelet", "db4", "--scales", "3",
-    )
-    assert code == 1
-    assert "MEGDEN_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -27,6 +27,7 @@ from megden.dataio import (
     trial_filename,
     write_dataset,
 )
+from megden.denoise import TrialSet
 from megden.errors import DatasetError
 
 MASK = (1 << 64) - 1
@@ -319,6 +320,19 @@ def test_dataset_round_trip(tmp_path):
     assert back.sensors == 3 and back.pre_samples == 2 and back.post_samples == 4
     for a, b in zip(ts.trials, back.trials):
         assert np.array_equal(a, b)
+
+
+def test_dataset_without_pre_stimulus_samples_round_trips(tmp_path):
+    rng = np.random.default_rng(11)
+    ts = TrialSet(tuple(rng.normal(size=(3, 5)) for _ in range(2)), 3, 0, 5)
+    write_dataset(ts, tmp_path / "ds")
+    back = load_dataset(tmp_path / "ds")
+    assert (back.sensors, back.pre_samples, back.post_samples) == (3, 0, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(ts.trials, back.trials))
+    assert generate_synthetic(SyntheticConfig(sensors=3, pre_samples=0, trials=1)).pre_samples == 0
+    for make in (Manifest, SyntheticConfig):
+        with pytest.raises(ValueError, match="pre_samples must be >= 0, got -1"):
+            make(sensors=1, pre_samples=-1, post_samples=1, trials=1)
 
 
 def test_load_trials_count_checks(tmp_path):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import threshold_mean_reference
@@ -27,6 +28,9 @@ from megden.filters import Family, make_filter
 from megden.transform import Decomposition, dwt_analyze, dwt_synthesize, max_decomposition_depth
 
 HAAR0 = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=2)
+FAMILIES = [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0)] + [
+    (Family.ADJUSTED_HAAR, n) for n in range(9)
+]
 
 
 def small_trial_set(seed=0, trials=3, sensors=5, pre=4, post=8):
@@ -60,8 +64,7 @@ def test_estimate_hand_case_with_mean_fill():
             [9.0, 10.0, 20.0],
         ]
     )
-    vec = concatenate_post_stimulus(trial, pre=1, post=2)
-    est = estimate_sensors(vec, HAAR0, trial)
+    est = estimate_sensors(trial, HAAR0, pre=1, post=2)
     assert est.wavelet_count == 2
     assert est.mean_filled_count == 2
     assert np.allclose(est.values, [4.0, 9.0, 3.0, 15.0], atol=1e-12)
@@ -76,7 +79,7 @@ def test_estimate_drops_surplus_coefficients():
     rng = np.random.default_rng(3)
     trial = rng.normal(size=(2, 8))
     config = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=1)
-    est = estimate_sensors(concatenate_post_stimulus(trial, 0, 8), config, trial)
+    est = estimate_sensors(trial, config, 0, 8)
     assert est.wavelet_count == 2
     assert est.mean_filled_count == 0
     dec = dwt_analyze(trial.reshape(-1), make_filter(Family.ADJUSTED_HAAR, 0), 1)
@@ -86,17 +89,59 @@ def test_estimate_drops_surplus_coefficients():
 def test_estimate_rejects_bad_shapes():
     trial = np.zeros((3, 4))
     with pytest.raises(StructureError):
-        estimate_sensors(np.zeros(7), HAAR0, trial)  # not a multiple of 3
-    with pytest.raises(StructureError):
-        estimate_sensors(np.zeros(15), HAAR0, trial)  # window longer than trial
+        estimate_sensors(trial, HAAR0, 0, 5)  # window longer than trial
 
 
-def test_constant_trial_is_a_fixed_point():
-    for family, param in ((Family.DAUBECHIES4, 0), (Family.COIFLET1, 0), (Family.ADJUSTED_HAAR, 2)):
-        config = DenoiseConfig(family=family, param=param, scales=3)
-        trial = np.full((6, 20), 7.25)
-        out = denoise_trial(trial, config, pre=4, post=16)
-        assert np.max(np.abs(out - 7.25)) < 1e-9
+@st.composite
+def geometries(draw):
+    """(sensors, pre, post, trials, scales) with every depth the K*post vector allows."""
+    sensors = draw(st.integers(1, 12))
+    post = draw(st.integers(1 if sensors > 1 else 2, 40))
+    scales = draw(st.integers(1, max_decomposition_depth(sensors * post)))
+    return sensors, draw(st.integers(0, 6)), post, draw(st.integers(1, 3)), scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    geometry=geometries(),
+    constant=st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+        st.floats(-1e300, 1e300).filter(lambda c: c == 0.0 or abs(c) >= 1e-300),
+    ),
+    mode=st.sampled_from(Mode),
+    threshold=st.booleans(),
+)
+@example(family=(Family.DAUBECHIES4, 0), geometry=(6, 4, 16, 1, 3), constant=7.25,
+         mode=Mode.SINGLE_TRIAL, threshold=False)
+@example(family=(Family.COIFLET1, 0), geometry=(6, 4, 16, 1, 3), constant=7.25,
+         mode=Mode.SINGLE_TRIAL, threshold=False)
+@example(family=(Family.ADJUSTED_HAAR, 2), geometry=(6, 4, 16, 1, 3), constant=7.25,
+         mode=Mode.SINGLE_TRIAL, threshold=False)
+@example(family=(Family.ADJUSTED_HAAR, 0), geometry=(3, 4, 8, 1, 2), constant=-2.5,
+         mode=Mode.SINGLE_TRIAL, threshold=True)
+def test_constant_trial_is_a_fixed_point(family, geometry, constant, mode, threshold):
+    # a constant post-stimulus window has all-zero details, so the approximation
+    # estimate is the constant and the universal threshold (sigma = 0) keeps it;
+    # the pre-stimulus samples hold another value that must not leak in
+    sensors, pre, post, count, scales = geometry
+    trial = np.full((sensors, pre + post), constant)
+    trial[:, :pre] = 3.0
+    ts = TrialSet((trial,) * count, sensors, pre, post)
+    config = DenoiseConfig(family[0], family[1], scales, mode=mode, threshold=threshold)
+    with warnings.catch_warnings():  # in the body: Hypothesis's failure report may warn
+        warnings.simplefilter("error")
+        out = denoise_dataset(ts, config)
+    assert out.shape == (sensors, post)
+    assert np.max(np.abs(out - constant)) <= 1e-12 * abs(constant)
+
+
+def test_threshold_on_constant_trial_is_identity():
+    # constant input has all-zero details, so sigma = lambda = 0 and the
+    # reconstruction returns the window unchanged
+    trial = np.full((3, 12), -2.5)
+    out = threshold_denoise(trial, HAAR0, pre=4, post=8)
+    assert np.max(np.abs(out - -2.5)) < 1e-10
 
 
 def test_estimate_block_means_when_blocks_align():
@@ -104,7 +149,7 @@ def test_estimate_block_means_when_blocks_align():
     # sensor's window, so the rescaled estimate is that sensor's mean
     rng = np.random.default_rng(14)
     trial = rng.normal(size=(4, 4))
-    est = estimate_sensors(concatenate_post_stimulus(trial, 0, 4), HAAR0, trial)
+    est = estimate_sensors(trial, HAAR0, 0, 4)
     assert est.wavelet_count == 4
     assert np.max(np.abs(est.values - trial.mean(axis=1))) < 1e-12
 
@@ -114,7 +159,7 @@ def test_wavelet_count_follows_ceil_halving(sensors, post, scales):
     rng = np.random.default_rng(15)
     trial = rng.normal(size=(sensors, post))
     config = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=scales)
-    est = estimate_sensors(trial.reshape(-1), config, trial)
+    est = estimate_sensors(trial, config, 0, post)
     n = sensors * post
     for _ in range(scales):
         n = (n + 1) // 2
@@ -139,10 +184,7 @@ def test_opposite_trials_cancel():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(
-        [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0)]
-        + [(Family.ADJUSTED_HAAR, n) for n in range(9)]
-    ),
+    family=st.sampled_from(FAMILIES),
     sensors=st.integers(min_value=1, max_value=12),
     pre=st.integers(min_value=0, max_value=6),
     post=st.integers(min_value=1, max_value=40),
@@ -246,14 +288,6 @@ def test_threshold_zeroes_pure_noise_details():
     ).reshape(4, post)
     got = threshold_denoise(trial, config, pre, post)
     assert np.max(np.abs(got - approx_only)) < 1e-12
-
-
-def test_threshold_on_constant_trial_is_identity():
-    # constant input has all-zero details, so sigma = lambda = 0 and the
-    # reconstruction returns the window unchanged
-    trial = np.full((3, 12), -2.5)
-    out = threshold_denoise(trial, HAAR0, pre=4, post=8)
-    assert np.max(np.abs(out - -2.5)) < 1e-10
 
 
 def test_trialset_validation():
