@@ -7,16 +7,11 @@ A typical end-to-end run:
     megden denoise --data data/ --wavelet ahaar --n 2 --scales 8 --out den.csv
     megden snir --mean avg.csv --calc den.csv
     megden plot --in den.csv --out den.svg
-
-The trial CSVs are written and parsed by one forked worker per CPU in
-the process's affinity mask (narrow it with ``taskset``); the output does
-not depend on the count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,12 +20,6 @@ from .filters import Family, classical_convention, make_filter
 from .svgplot import PlotSpec, render_traces
 
 WAVELET_NAMES = tuple(f.value for f in Family)
-
-
-def _worker_count() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _wavelet_from_args(args) -> tuple[Family, int]:
@@ -63,15 +52,13 @@ def cmd_gen(args) -> int:
         response_freq_hz=args.freq,
         response_decay_ms=args.decay,
     )
-    written = dataio.write_dataset(
-        dataio.generate_synthetic(config), args.out, workers=_worker_count()
-    )
+    written = dataio.write_dataset(dataio.generate_synthetic(config), args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
 def cmd_average(args) -> int:
-    trials = dataio.load_dataset(args.data, workers=_worker_count())
+    trials = dataio.load_dataset(args.data)
     avg = denoise.average_trials(trials)
     if args.window == "post":
         avg = avg[:, trials.pre_samples :]
@@ -84,7 +71,7 @@ def cmd_denoise(args) -> int:
     config = _config_from_args(args)
     if args.trial is not None and config.mode is not denoise.Mode.SINGLE_TRIAL:
         raise ValueError("--trial applies only to --mode single")
-    trials = dataio.load_dataset(args.data, workers=_worker_count())
+    trials = dataio.load_dataset(args.data)
     result = denoise.denoise_dataset(
         trials, config, trial_index=0 if args.trial is None else args.trial
     )

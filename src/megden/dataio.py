@@ -6,6 +6,11 @@ gain, plus white Gaussian noise. Randomness comes from a SplitMix64
 stream with a pinned draw order (sensor gains first, then noise in
 trial-major/sensor-major/time-major order), so a seed fully determines
 the dataset bytes.
+
+The trial CSVs are written and parsed by one forked worker per CPU in
+the process's affinity mask (narrow it with ``taskset`` or
+``os.sched_setaffinity``); the output and the first error do not depend
+on the count.
 """
 
 from __future__ import annotations
@@ -343,6 +348,12 @@ def _collect(pid: int, read_fd: int, first) -> tuple[bool, object]:
         return False, OSError(f"{first}: worker exited with status {code} without a result")
 
 
+def _worker_count() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fanout(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]``, split into at most ``workers`` contiguous chunks.
 
@@ -374,7 +385,7 @@ def _fanout(fn, items, workers: int) -> list:
     return results
 
 
-def _load_trial_files(manifest: Manifest, manifest_path, data_paths, workers: int) -> TrialSet:
+def _load_trial_files(manifest: Manifest, manifest_path, data_paths) -> TrialSet:
     paths = [Path(p) for p in data_paths]
     if len(paths) != manifest.trials:
         raise DatasetError(
@@ -391,7 +402,7 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths, workers: in
             raise DatasetError(f"{p}: expected {total} columns, found {m.shape[1]}")
         return m
 
-    mats = _fanout(load_checked, paths, workers)
+    mats = _fanout(load_checked, paths, _worker_count())
     return TrialSet(
         tuple(mats), manifest.sensors, manifest.pre_samples, manifest.post_samples
     )
@@ -399,19 +410,15 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths, workers: in
 
 def load_trials(manifest_path, data_paths) -> TrialSet:
     """Load a manifest plus its trial files, validating counts against the manifest."""
-    return _load_trial_files(load_manifest(manifest_path), manifest_path, data_paths, 1)
+    return _load_trial_files(load_manifest(manifest_path), manifest_path, data_paths)
 
 
 def trial_filename(index: int) -> str:
     return f"trial_{index}.csv"
 
 
-def write_dataset(trials: TrialSet, directory, workers: int = 1) -> list[Path]:
-    """Write manifest.json plus trial_<i>.csv files; returns the written paths.
-
-    ``workers`` > 1 writes the trial files in up to that many processes;
-    the bytes are the same for any value.
-    """
+def write_dataset(trials: TrialSet, directory) -> list[Path]:
+    """Write manifest.json plus trial_<i>.csv files; returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(
@@ -424,18 +431,14 @@ def write_dataset(trials: TrialSet, directory, workers: int = 1) -> list[Path]:
     save_manifest(manifest, manifest_path)
     paths = [directory / trial_filename(i) for i in range(len(trials))]
     matrices = dict(zip(paths, trials.trials))
-    _fanout(lambda p: save_matrix(matrices[p], p), paths, workers)
+    _fanout(lambda p: save_matrix(matrices[p], p), paths, _worker_count())
     return [manifest_path, *paths]
 
 
-def load_dataset(directory, workers: int = 1) -> TrialSet:
-    """Load manifest.json and its trial_<i>.csv files from a dataset directory.
-
-    ``workers`` > 1 parses the trial files in up to that many processes;
-    the result and the first error are the same for any value.
-    """
+def load_dataset(directory) -> TrialSet:
+    """Load manifest.json and its trial_<i>.csv files from a dataset directory."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     manifest = load_manifest(manifest_path)
     paths = [directory / trial_filename(i) for i in range(manifest.trials)]
-    return _load_trial_files(manifest, manifest_path, paths, workers)
+    return _load_trial_files(manifest, manifest_path, paths)

@@ -104,8 +104,7 @@ class DenoiseConfig:
     def __post_init__(self) -> None:
         if self.scales < 1:
             raise ValueError(f"scales must be >= 1, got {self.scales}")
-        if self.param < 0:
-            raise ValueError(f"param must be >= 0, got {self.param}")
+        make_filter(self.family, self.param)  # a bad zero count fails here, not after loading
 
 
 def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:

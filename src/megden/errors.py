@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DatasetError", "DepthError", "StructureError"]
+
 
 class DepthError(ValueError):
     """Requested decomposition depth exceeds what the signal length allows."""

@@ -69,8 +69,9 @@ class FilterPair:
     def __len__(self) -> int:
         return self.lowpass.size
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise ValueError if any orthonormal-pair invariant is violated."""
+    def validate(self) -> None:
+        """Raise ValueError if any orthonormal-pair invariant is violated beyond 1e-12."""
+        tol = 1e-12
         h, g = self.lowpass, self.highpass
         n = h.size
         if n == 0 or n % 2:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
+from .filters import _frozen
 
 __all__ = ["SnirReport", "rmse", "snir"]
 
@@ -29,9 +30,7 @@ class SnirReport:
     samples: int
 
     def __post_init__(self) -> None:
-        ratio = np.asarray(self.per_sensor_ratio, dtype=np.float64)
-        ratio.flags.writeable = False
-        object.__setattr__(self, "per_sensor_ratio", ratio)
+        object.__setattr__(self, "per_sensor_ratio", _frozen(self.per_sensor_ratio))
 
 
 def snir(y_mean, y_calc) -> SnirReport:

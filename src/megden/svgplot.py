@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,24 +10,34 @@ import numpy as np
 __all__ = ["PlotSpec", "render_traces"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
+X_LABEL = "Time (ms)"
+Y_LABEL = "Magnetic field (fT)"
+
+# Code points outside the XML 1.0 Char production: C0 controls other than
+# tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` for SVG character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """ASCII SVG character data: ``&``, ``<``, ``>`` escaped, non-ASCII as ``&#N;``."""
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise ValueError(f"plot text holds U+{ord(bad.group()):04X}, which XML 1.0 does not allow")
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.encode("ascii", "xmlcharrefreplace").decode("ascii")
 
 
 @dataclass(frozen=True)
 class PlotSpec:
     title: str = ""
-    x_label: str = "Time (ms)"
-    y_label: str = "Magnetic field (fT)"
     width: int = 960
     height: int = 600
 
     def __post_init__(self) -> None:
-        if self.width < 100 or self.height < 100:
-            raise ValueError(f"plot must be at least 100x100 px, got {self.width}x{self.height}")
+        if not (100 <= self.width <= 100_000 and 100 <= self.height <= 100_000):
+            raise ValueError(
+                f"plot sides must be 100..100000 px, got {self.width}x{self.height}"
+            )
 
 
 def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
@@ -78,12 +89,12 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
     )
     out.append(
         f'<text x="{left + inner_w / 2:.1f}" y="{spec.height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(spec.x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(X_LABEL)}</text>'
     )
     out.append(
         f'<text x="20" y="{top + inner_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{_escape(spec.y_label)}</text>'
+        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{_escape(Y_LABEL)}</text>'
     )
     for value, x_px in ((0.0, x0), (float(t - 1), left + inner_w)):
         out.append(

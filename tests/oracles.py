@@ -152,12 +152,12 @@ def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:
     )
     out.append(
         f'<text x="{left + inner_w / 2:.1f}" y="{spec.height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(spec.x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">Time (ms)</text>'
     )
     out.append(
         f'<text x="20" y="{top + inner_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">{escape(spec.y_label)}</text>'
+        f'transform="rotate(-90 20 {top + inner_h / 2:.1f})">Magnetic field (fT)</text>'
     )
     for value, x_px in ((0.0, x0), (float(t - 1), left + inner_w)):
         out.append(

@@ -6,6 +6,7 @@ check, and the per-wavelet SNIR values for the determinism check.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -161,10 +162,12 @@ def test_criterion_6_snir_fixed_points(report):
     )
 
 
-def test_criterion_7_deterministic_chain(report, tmp_path):
-    def chain(workers, data):
-        written = write_dataset(generate_synthetic(SyntheticConfig(seed=42)), data, workers)
-        ts = load_dataset(data, workers)
+def test_criterion_7_deterministic_chain(report, tmp_path, monkeypatch):
+    def chain(cpus, data):
+        # the dataset pool has one worker per CPU in the affinity mask
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        written = write_dataset(generate_synthetic(SyntheticConfig(seed=42)), data)
+        ts = load_dataset(data)
         reference = average_trials(ts)[:, ts.pre_samples :]
         out = [p.read_bytes() for p in written]
         for family, param in THREE_FAMILIES:
@@ -172,7 +175,7 @@ def test_criterion_7_deterministic_chain(report, tmp_path):
             out.append((den.tobytes(), snir(reference, den).snir_db))
         return out
 
-    runs = [chain(workers, tmp_path / f"run{i}") for i, workers in enumerate((1, 1, 4))]
+    runs = [chain(cpus, tmp_path / f"run{i}") for i, cpus in enumerate((1, 1, 4))]
     first = runs[0]
     ok = all(run == first for run in runs[1:])
     values = []

@@ -1,7 +1,8 @@
-"""The library API that ``bench/`` calls, checked without importing or changing it.
+"""The package's public names, and the library API that ``bench/`` calls.
 
+The bench files are checked without importing or changing them.
 ``bench/tests`` lies outside the tier-1 test paths, so these checks keep a
-library deletion from breaking the traced benchmark unnoticed.
+library deletion from breaking the benchmark unnoticed.
 """
 
 import ast
@@ -9,12 +10,65 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from megden import denoise
+import megden
+from megden import dataio, denoise, errors, filters, metrics, svgplot, transform
 from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.filters import Family
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+
+
+def test_package_exports_the_union_of_module_exports():
+    modules = (dataio, denoise, errors, filters, metrics, svgplot, transform)
+    union = sorted({name for module in modules for name in module.__all__})
+    assert megden.__all__ == union
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(megden, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def megden_reads(path: Path) -> list[tuple[str, str, int]]:
+    """Every ``(module, name, line)`` that ``path`` reads from a megden module.
+
+    A read is ``alias.name`` where ``alias`` is bound by ``import megden``
+    or ``from megden import <module>``, or a name imported with
+    ``from megden.<module> import name``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "megden" or a.name.startswith("megden."):
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "megden":
+            for a in node.names:
+                if node.module == "megden":
+                    aliases[a.asname or a.name] = f"megden.{a.name}"
+                else:
+                    reads.append((node.module, a.name, node.lineno))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            reads.append((aliases[node.value.id], node.attr, node.lineno))
+    return reads
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "run.py", "tracing.py"])
+def test_every_megden_name_the_bench_reads_resolves(name):
+    reads = megden_reads(BENCH / name)
+    if name == "workloads.py":
+        assert {module for module, _, _ in reads} >= {
+            "megden.cli", "megden.dataio", "megden.denoise", "megden.metrics", "megden.svgplot"
+        }
+    for module, attr, line in reads:
+        assert hasattr(importlib.import_module(module), attr), f"{name}:{line}: {module}.{attr}"
 
 
 def traced_targets() -> list[tuple[str, str]]:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from oracles import load_matrix_reference
 
 from megden import dataio
-from megden.cli import _worker_count, main
+from megden.cli import main
 from megden.dataio import load_matrix, save_matrix
 
 GEN_SMALL = "--sensors 6 --pre 3 --post 8 --trials 2".split()
@@ -208,6 +209,38 @@ def test_plot_polyline_count(dataset, tmp_path):
     assert svg.read_text().count("<polyline") == 6
 
 
+def test_plot_writes_non_ascii_titles_as_character_references(dataset, tmp_path):
+    avg = tmp_path / "moyenne_é.csv"
+    run_main("average", "--data", str(dataset), "--out", str(avg))
+    for title in ("é", None):  # None: the default title is the input's stem
+        svg = tmp_path / "avg.svg"
+        argv = ["--title", title] if title else []
+        assert run_main("plot", "--in", str(avg), "--out", str(svg), *argv) == 0
+        text = svg.read_bytes().decode("ascii")
+        want = title or avg.stem
+        assert want in minidom.parseString(text).getElementsByTagName("text")[0].firstChild.data
+
+
+@pytest.mark.parametrize("title, point", [("a\x01b", "U+0001"), ("x\udcff", "U+DCFF")])
+def test_plot_title_outside_xml_is_an_error(dataset, tmp_path, capsys, title, point):
+    avg = tmp_path / "avg.csv"
+    run_main("average", "--data", str(dataset), "--out", str(avg))
+    capsys.readouterr()
+    svg = tmp_path / "avg.svg"
+    assert run_main("plot", "--in", str(avg), "--out", str(svg), "--title", title) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("megden: error:") and point in err[0]
+    assert not svg.exists()
+
+
+def test_bad_zero_count_is_reported_before_the_data_is_read(tmp_path, capsys):
+    argv = ["denoise", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "d.csv")]
+    assert run_main(*argv, "--wavelet", "ahaar", "--n", "65") == 1
+    assert capsys.readouterr().err == (
+        "megden: error: adjusted-Haar zero count must be in 0..64, got 65\n"
+    )
+
+
 def test_missing_file_exits_nonzero(tmp_path, capsys):
     code = run_main("snir", "--mean", str(tmp_path / "a.csv"), "--calc", str(tmp_path / "b.csv"))
     assert code == 1
@@ -229,24 +262,6 @@ def test_unknown_wavelet_rejected(dataset, tmp_path):
                  "--wavelet", "sym4")
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    outs = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert _worker_count() == cpus
-        out = tmp_path / f"run{cpus}"
-        data = out / "data"
-        assert run_main("gen", "--seed", "7", "--out", str(data), *GEN_SMALL, "--trials", "5") == 0
-        assert run_main("average", "--data", str(data), "--out", str(out / "avg.csv")) == 0
-        assert run_main(
-            "denoise", "--data", str(data), "--out", str(out / "den.csv"),
-            "--wavelet", "ahaar", "--n", "2", "--scales", "3",
-        ) == 0
-        outs.append({p.name: p.read_bytes() for p in sorted(out.rglob("*.*"))})
-    assert len(outs[0]) == 8  # manifest, 5 trials, avg.csv, den.csv
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch, capsys):
     # os.fork is a counter that starts no process: the parent reads EOF from
     # the pipe and the stubbed reap, so every "child" reports no result
@@ -255,25 +270,11 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
     monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
-    assert _worker_count() == 3
+    assert dataio._worker_count() == 3
     argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL, "--trials", "8"]
     assert run_main(*argv) == 1
     assert "without a result" in capsys.readouterr().err
     assert len(forks) == 2  # three workers: the parent plus two children
-
-
-def test_thread_env_is_capped_at_the_affinity_mask(tmp_path, monkeypatch, capsys):
-    # MEGDEN_THREADS is not read: a large value still gives one worker per CPU
-    # in the mask. os.fork is a counter that starts no process
-    forks = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
-    monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
-    monkeypatch.setenv("MEGDEN_THREADS", "64")
-    argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL, "--trials", "8"]
-    assert run_main(*argv) == 1
-    assert "without a result" in capsys.readouterr().err
-    assert len(forks) == 1  # two workers: the parent plus one child
 
 
 @pytest.mark.parametrize(

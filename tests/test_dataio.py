@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import load_matrix_reference, save_matrix_reference
 
 from megden import dataio
+from megden.cli import main
 from megden.dataio import (
     MANIFEST_NAME,
     Manifest,
@@ -431,17 +432,23 @@ def test_load_dataset_parses_the_manifest_once(tmp_path):
 WORKER_COUNTS = (1, 2, 4)
 
 
-def test_worker_count_does_not_change_bits(tmp_path):
+def stub_mask(monkeypatch, cpus):
+    """Make the affinity mask hold ``cpus`` CPUs, so the pool has that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_worker_count_does_not_change_bits(tmp_path, monkeypatch):
     ts = generate_synthetic(
         SyntheticConfig(seed=11, sensors=5, pre_samples=3, post_samples=9, trials=7)
     )
     files, loaded = [], []
     for workers in WORKER_COUNTS:
+        stub_mask(monkeypatch, workers)
         d = tmp_path / f"w{workers}"
-        written = write_dataset(ts, d, workers=workers)
+        written = write_dataset(ts, d)
         assert [p.name for p in written] == [MANIFEST_NAME] + [trial_filename(i) for i in range(7)]
         files.append([p.read_bytes() for p in written])
-        back = load_dataset(tmp_path / "w1", workers=workers)
+        back = load_dataset(tmp_path / "w1")
         loaded.append(np.stack(back.trials))
     assert files[0] == files[1] == files[2]
     assert np.array_equal(loaded[0], np.stack(ts.trials))
@@ -449,7 +456,7 @@ def test_worker_count_does_not_change_bits(tmp_path):
         assert np.array_equal(loaded[0], other)
 
 
-def test_first_error_does_not_depend_on_worker_count(tmp_path):
+def test_first_error_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     ts = generate_synthetic(
         SyntheticConfig(seed=3, sensors=4, pre_samples=2, post_samples=5, trials=9)
     )
@@ -458,16 +465,70 @@ def test_first_error_does_not_depend_on_worker_count(tmp_path):
     save_matrix(np.zeros((3, 7)), tmp_path / trial_filename(7))
     messages = set()
     for workers in WORKER_COUNTS:
+        stub_mask(monkeypatch, workers)
         with pytest.raises(DatasetError) as err:
-            load_dataset(tmp_path, workers=workers)
+            load_dataset(tmp_path)
         messages.add(str(err.value))
     assert messages == {f"{tmp_path / trial_filename(3)}:2: malformed row"}
 
     write_dataset(ts, tmp_path)
     save_matrix(np.zeros((3, 7)), tmp_path / trial_filename(7))
     for workers in WORKER_COUNTS:
+        stub_mask(monkeypatch, workers)
         with pytest.raises(DatasetError, match=r"trial_7\.csv: expected 4 rows, found 3"):
-            load_dataset(tmp_path, workers=workers)
+            load_dataset(tmp_path)
+
+
+def test_affinity_mask_size_does_not_change_output(tmp_path, monkeypatch):
+    outs = []
+    for cpus in (1, 2, 4):
+        stub_mask(monkeypatch, cpus)
+        assert dataio._worker_count() == cpus
+        out = tmp_path / f"run{cpus}"
+        data = out / "data"
+        small = "--sensors 6 --pre 3 --post 8 --trials 5".split()
+        assert main(["gen", "--seed", "7", "--out", str(data), *small]) == 0
+        assert main(["average", "--data", str(data), "--out", str(out / "avg.csv")]) == 0
+        assert main([
+            "denoise", "--data", str(data), "--out", str(out / "den.csv"),
+            "--wavelet", "ahaar", "--n", "2", "--scales", "3",
+        ]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.rglob("*.*"))})
+    assert len(outs[0]) == 8  # manifest, 5 trials, avg.csv, den.csv
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("function", ["write_dataset", "load_dataset"])
+def test_pool_forks_one_child_per_extra_cpu_in_the_mask(tmp_path, monkeypatch, function):
+    # os.fork is a counter that starts no process: the parent reads EOF from
+    # the pipe and the stubbed reap, so every "child" reports no result.
+    # Neither MEGDEN_THREADS nor the machine's CPU count widens the pool
+    ts = generate_synthetic(
+        SyntheticConfig(seed=5, sensors=3, pre_samples=2, post_samples=4, trials=8)
+    )
+    write_dataset(ts, tmp_path / "d")
+    forks = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
+    monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
+    monkeypatch.setenv("MEGDEN_THREADS", "64")
+    run = {"write_dataset": lambda: write_dataset(ts, tmp_path / "d"),
+           "load_dataset": lambda: load_dataset(tmp_path / "d")}[function]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run()
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    with pytest.raises(OSError, match="without a result"):
+        run()
+    assert len(forks) == 2  # three workers: the parent plus two children
+
+
+def test_worker_count_without_a_mask_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert dataio._worker_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert dataio._worker_count() == 1
 
 
 def _assert_no_child_left():

@@ -312,6 +312,11 @@ def test_config_validation():
         DenoiseConfig(family=Family.DAUBECHIES4, scales=0)
     with pytest.raises(ValueError):
         DenoiseConfig(family=Family.ADJUSTED_HAAR, param=-1)
+    # a zero count the family cannot build is refused when the config is made
+    with pytest.raises(ValueError, match="db4 takes no zero-count parameter, got 3"):
+        DenoiseConfig(family=Family.DAUBECHIES4, param=3)
+    with pytest.raises(ValueError, match="0..64, got 65"):
+        DenoiseConfig(family=Family.ADJUSTED_HAAR, param=65)
     assert DenoiseConfig(family=Family.DAUBECHIES4).mode is Mode.MULTI_TRIAL
     assert DenoiseConfig(family=Family.DAUBECHIES4).threshold is False
 

@@ -18,6 +18,7 @@ from megden.filters import (
 )
 from megden.transform import Decomposition
 from megden.denoise import SensorEstimate, TrialSet
+from megden.metrics import SnirReport
 
 ALL_PAIRS = [
     make_daubechies4(),
@@ -185,8 +186,9 @@ def test_freq_magnitude_envelope_bound(n, omega):
         ((1, 4), lambda a, b: TrialSet((a, b), sensors=1, pre_samples=1, post_samples=3)),
         ((4,), lambda a, b: FilterPair(Family.DAUBECHIES4, 0, a, b)),
         ((4,), lambda a, b: SensorEstimate(a, wavelet_count=4, mean_filled_count=0)),
+        ((4,), lambda a, b: SnirReport(a, 0.0, sensors=4, samples=1)),
     ],
-    ids=["Decomposition", "TrialSet", "FilterPair", "SensorEstimate"],
+    ids=["Decomposition", "TrialSet", "FilterPair", "SensorEstimate", "SnirReport"],
 )
 def test_constructors_leave_the_callers_arrays_alone(shape, build):
     a = np.arange(4.0).reshape(shape)

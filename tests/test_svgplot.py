@@ -1,3 +1,6 @@
+from dataclasses import fields
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 from oracles import render_traces_reference
@@ -25,6 +28,24 @@ def test_title_is_escaped():
     assert "a<b" not in svg
 
 
+def test_spec_has_only_title_and_size():
+    assert [f.name for f in fields(PlotSpec)] == ["title", "width", "height"]
+
+
+@pytest.mark.parametrize("title", ["é", "Δt → 0 ≤ 1 \U0001F600", "tab\there", "a\x7fb"])
+def test_any_xml_title_round_trips(title):
+    svg = render_traces(np.zeros((1, 4)), PlotSpec(title=title))
+    assert svg.isascii()
+    text = minidom.parseString(svg).getElementsByTagName("text")[0]
+    assert text.firstChild.data == title
+
+
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\x1f", "\ud800", "\udcff", "\ufffe", "\uffff"])
+def test_code_points_outside_xml_are_named(bad):
+    with pytest.raises(ValueError, match=f"U\\+{ord(bad):04X}, which XML 1.0 does not allow"):
+        render_traces(np.zeros((1, 4)), PlotSpec(title=f"a{bad}b"))
+
+
 def test_flat_data_still_renders():
     svg = render_traces(np.full((3, 5), 2.0), PlotSpec())
     assert svg.count("<polyline") == 3
@@ -44,6 +65,13 @@ def test_spec_validation():
         PlotSpec(width=50)
     with pytest.raises(ValueError):
         PlotSpec(height=10)
+    # a side past the float range would crash the layout with an OverflowError
+    for side in (100_001, 10**400):
+        with pytest.raises(ValueError, match="100..100000 px"):
+            PlotSpec(width=side)
+        with pytest.raises(ValueError, match="100..100000 px"):
+            PlotSpec(height=side)
+    PlotSpec(width=100_000, height=100)
 
 
 def test_dimensions_in_header():
