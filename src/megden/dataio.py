@@ -162,8 +162,8 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
             noise = rng.gaussian(config.trials * config.sensors * total)
             noise = config.noise_sigma * noise.reshape(config.trials, config.sensors, total)
             mats = [base + noise[i] for i in range(config.trials)]
-        else:
-            mats = [base.copy() for _ in range(config.trials)]
+        else:  # one block: a count too large to hold fails before the first copy
+            mats = list(np.broadcast_to(base, (config.trials, *base.shape)).copy())
     if not all(np.isfinite(m).all() for m in mats):
         raise ValueError(
             f"synthetic samples are not finite for noise_sigma={config.noise_sigma!r}, "

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StructureError
-from .filters import Family, _frozen, make_filter
+from .filters import Family, _check_param, _frozen, make_filter
 from .transform import Decomposition, dwt_analyze, dwt_synthesize
 
 __all__ = [
@@ -104,7 +104,7 @@ class DenoiseConfig:
     def __post_init__(self) -> None:
         if self.scales < 1:
             raise ValueError(f"scales must be >= 1, got {self.scales}")
-        make_filter(self.family, self.param)  # a bad zero count fails here, not after loading
+        _check_param(self.family, self.param)  # a bad zero count fails here, not after loading
 
 
 def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:

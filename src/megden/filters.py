@@ -105,6 +105,17 @@ def qmf_highpass(lowpass) -> np.ndarray:
     return g
 
 
+def _check_param(family: Family, param: int) -> None:
+    """Raise ValueError unless ``param`` is a zero count ``family`` can build."""
+    if family is Family.ADJUSTED_HAAR:
+        if not 0 <= param <= MAX_ADJUSTED_HAAR_ZEROS:
+            raise ValueError(
+                f"adjusted-Haar zero count must be in 0..{MAX_ADJUSTED_HAAR_ZEROS}, got {param}"
+            )
+    elif param != 0:
+        raise ValueError(f"{family.value} takes no zero-count parameter, got {param}")
+
+
 def make_daubechies4() -> FilterPair:
     """Four-tap Daubechies filter with two vanishing wavelet moments."""
     s3 = math.sqrt(3.0)
@@ -127,10 +138,7 @@ def make_coiflet1() -> FilterPair:
 
 def make_adjusted_haar(n: int) -> FilterPair:
     """Haar low-pass with 2n interior zeros: [1, 0 x 2n, 1]/sqrt(2)."""
-    if not 0 <= n <= MAX_ADJUSTED_HAAR_ZEROS:
-        raise ValueError(
-            f"adjusted-Haar zero count must be in 0..{MAX_ADJUSTED_HAAR_ZEROS}, got {n}"
-        )
+    _check_param(Family.ADJUSTED_HAAR, n)
     h = np.zeros(2 * n + 2)
     h[0] = h[-1] = 1.0 / _SQRT2
     return FilterPair(Family.ADJUSTED_HAAR, n, h, qmf_highpass(h))
@@ -138,13 +146,10 @@ def make_adjusted_haar(n: int) -> FilterPair:
 
 def make_filter(family: Family, param: int = 0) -> FilterPair:
     """Build the filter pair for ``family``; ``param`` is the adjusted-Haar zero count."""
+    _check_param(family, param)
     if family is Family.ADJUSTED_HAAR:
         return make_adjusted_haar(param)
-    if param != 0:
-        raise ValueError(f"{family.value} takes no zero-count parameter, got {param}")
-    if family is Family.DAUBECHIES4:
-        return make_daubechies4()
-    return make_coiflet1()
+    return make_daubechies4() if family is Family.DAUBECHIES4 else make_coiflet1()
 
 
 def classical_convention(pair: FilterPair) -> tuple[np.ndarray, np.ndarray]:

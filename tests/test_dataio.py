@@ -128,6 +128,17 @@ def test_zero_amp_zero_sigma_is_all_zero():
     assert not np.any(generate_synthetic(cfg).trials[0])
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_trial_count_too_large_to_hold_fails_at_once(sigma):
+    # Without noise the trials used to be copied one by one, so this count
+    # ran until memory gave out; now both paths ask numpy for one block.
+    cfg = SyntheticConfig(
+        sensors=1, pre_samples=0, post_samples=1, trials=2**63 - 1, noise_sigma=sigma
+    )
+    with pytest.raises(ValueError):
+        generate_synthetic(cfg)
+
+
 def test_gains_are_drawn_before_noise():
     cfg = SyntheticConfig(seed=17, sensors=2, pre_samples=1, post_samples=2, trials=1)
     ts = generate_synthetic(cfg)
@@ -502,7 +513,7 @@ def test_affinity_mask_size_does_not_change_output(tmp_path, monkeypatch):
 def test_pool_forks_one_child_per_extra_cpu_in_the_mask(tmp_path, monkeypatch, function):
     # os.fork is a counter that starts no process: the parent reads EOF from
     # the pipe and the stubbed reap, so every "child" reports no result.
-    # Neither MEGDEN_THREADS nor the machine's CPU count widens the pool
+    # The machine's CPU count does not widen the pool; only the mask sizes it.
     ts = generate_synthetic(
         SyntheticConfig(seed=5, sensors=3, pre_samples=2, post_samples=4, trials=8)
     )
@@ -511,7 +522,6 @@ def test_pool_forks_one_child_per_extra_cpu_in_the_mask(tmp_path, monkeypatch, f
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 999_999)
     monkeypatch.setattr(os, "waitpid", lambda pid, flags: (pid, 0))
-    monkeypatch.setenv("MEGDEN_THREADS", "64")
     run = {"write_dataset": lambda: write_dataset(ts, tmp_path / "d"),
            "load_dataset": lambda: load_dataset(tmp_path / "d")}[function]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

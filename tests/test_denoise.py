@@ -23,6 +23,7 @@ from megden.denoise import (
     reconstruct_denoised,
     threshold_denoise,
 )
+import megden.denoise as denoise_module
 from megden.errors import StructureError
 from megden.filters import Family, make_filter
 from megden.transform import Decomposition, dwt_analyze, dwt_synthesize, max_decomposition_depth
@@ -319,6 +320,16 @@ def test_config_validation():
         DenoiseConfig(family=Family.ADJUSTED_HAAR, param=65)
     assert DenoiseConfig(family=Family.DAUBECHIES4).mode is Mode.MULTI_TRIAL
     assert DenoiseConfig(family=Family.DAUBECHIES4).threshold is False
+
+
+def test_config_checks_the_zero_count_without_building_a_filter(monkeypatch):
+    # The traced make_filter count is the estimator's, not the config's.
+    def refuse(*args):
+        raise AssertionError("DenoiseConfig built a filter pair")
+
+    monkeypatch.setattr(denoise_module, "make_filter", refuse)
+    DenoiseConfig(family=Family.ADJUSTED_HAAR, param=64)
+    DenoiseConfig(family=Family.COIFLET1)
 
 
 @pytest.fixture(scope="module")
