@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StructureError
 from .filters import Family, _check_param, _frozen, make_filter
-from .transform import Decomposition, dwt_analyze, dwt_synthesize
+from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
 
 __all__ = [
     "DenoiseConfig",
@@ -130,8 +130,8 @@ def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> Senso
     """
     m = np.asarray(trial, dtype=np.float64)
     vec = concatenate_post_stimulus(m, pre, post)
-    dec = dwt_analyze(vec, make_filter(config.family, config.param), config.scales)
-    approx = dec.approx * 2.0 ** (-config.scales / 2.0)
+    approx = dwt_approx(vec, make_filter(config.family, config.param), config.scales)
+    approx *= 2.0 ** (-config.scales / 2.0)
     sensors = m.shape[0]
     count = min(approx.size, sensors)
     values = np.empty(sensors)

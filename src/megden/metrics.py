@@ -17,7 +17,17 @@ def _check_pair(y_ref, y_est) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(y_est, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise StructureError(f"matrices must share a 2-D shape, got {a.shape} vs {b.shape}")
+    for name, m in (("y_mean", a), ("y_calc", b)):
+        if not np.isfinite(m).all():
+            raise StructureError(f"{name} holds a non-finite value")
     return a, b
+
+
+def _check_energy(energy: np.ndarray, what: str) -> None:
+    """Raise StructureError where squaring finite values overflowed to inf."""
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        raise StructureError(f"{what} of sensor {bad[0]} overflows the float64 range")
 
 
 @dataclass(frozen=True)
@@ -40,24 +50,28 @@ def snir(y_mean, y_calc) -> SnirReport:
     the aggregate is 10*log10 of the mean ratio (ratios are averaged raw,
     before taking dB). A sensor with exactly zero error energy yields a
     +inf ratio, which propagates to snir_db; there is no silent clamp.
-    A nan or inf in either input is a ``StructureError``.
+    A ratio past the float64 range reads +inf too. A nan or inf in either
+    input, or an energy that overflows the float64 range, is a ``StructureError``.
     """
     a, b = _check_pair(y_mean, y_calc)
-    for name, m in (("y_mean", a), ("y_calc", b)):
-        if not np.isfinite(m).all():
-            raise StructureError(f"{name} holds a non-finite value")
-    signal_energy = np.sum(a * a, axis=1)
-    error_energy = np.sum((a - b) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
+        signal_energy = np.sum(a * a, axis=1)
+        error_energy = np.sum((a - b) ** 2, axis=1)
+    _check_energy(signal_energy, "y_mean energy")
+    _check_energy(error_energy, "y_mean - y_calc energy")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = signal_energy / error_energy
-    ratio[error_energy == 0.0] = np.inf
-    mean_ratio = float(np.mean(ratio))
-    with np.errstate(divide="ignore"):
+        ratio[error_energy == 0.0] = np.inf
+        mean_ratio = float(np.mean(ratio))
         snir_db = float(10.0 * np.log10(mean_ratio))  # -inf for an all-zero reference
     return SnirReport(ratio, snir_db, sensors=a.shape[0], samples=a.shape[1])
 
 
 def rmse(y_mean, y_calc) -> float:
-    """Root-mean-square difference over all elements."""
+    """Root-mean-square difference over all elements; StructureError if its mean overflows."""
     a, b = _check_pair(y_mean, y_calc)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    with np.errstate(over="ignore"):
+        mse = np.mean((a - b) ** 2)
+    if not np.isfinite(mse):
+        raise StructureError("mean squared difference overflows the float64 range")
+    return float(np.sqrt(mse))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,15 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
 
     lo, hi = float(m.min()), float(m.max())
     if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    pad = 0.05 * (hi - lo)
-    y_lo, y_hi = lo - pad, hi + pad
+        # from 2**53 up lo - 1.0 == lo, so a flat trace that large widens by a relative step
+        step = max(1.0, abs(lo) * 2.0**-20)
+        lo, hi = max(lo - step, -sys.float_info.max), min(hi + step, sys.float_info.max)
+    # Pixel positions are ratios of differences, which scaling every value by a
+    # power of two leaves bit for bit the same; scaling huge values down keeps
+    # hi - lo and its padding finite. The labels show the unscaled lo and hi.
+    s = 2.0**-8 if max(-lo, hi) > 2.0**1000 else 1.0
+    pad = 0.05 * (hi * s - lo * s)
+    y_lo, y_hi = lo * s - pad, hi * s + pad
     x_span = float(max(t - 1, 1))
     xs = left + np.arange(t) / x_span * inner_w
 
@@ -102,7 +109,7 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
             f'font-family="sans-serif" font-size="11">{value:g}</text>'
         )
     for value in (lo, hi):
-        y_px = top + (y_hi - value) / (y_hi - y_lo) * inner_h
+        y_px = top + (y_hi - value * s) / (y_hi - y_lo) * inner_h
         out.append(
             f'<text x="{x0 - 6:.1f}" y="{y_px + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{value:.4g}</text>'
@@ -113,7 +120,7 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
     xy = np.empty(2 * t)
     xy[0::2] = xs
     for i in range(k):
-        xy[1::2] = top + (y_hi - m[i]) / (y_hi - y_lo) * inner_h
+        xy[1::2] = top + (y_hi - m[i] * s) / (y_hi - y_lo) * inner_h
         points = points_format % tuple(xy.tolist())
         color = _PALETTE[i % len(_PALETTE)]
         out.append(

@@ -21,6 +21,17 @@ rotated by k//2. Every output element is summed from 0.0 over the taps
 in ascending k. That order keeps the outputs byte-identical: reordering
 the taps, starting from the first product (0.0 + -0.0 is 0.0), or a dot
 product or convolution routine changes the last bits.
+
+Both kernels skip every tap k where h[k] and g[k] are zero (4 of the
+adjusted Haar ahaar2's 6 taps, 16 of ahaar8's 18). For finite input this
+leaves every output bit unchanged: each sum starts at +0.0, a float sum
+is -0.0 only when both addends are -0.0, so a sum never holds -0.0, and
+adding the +-0.0 that a zero tap times a finite sample gives leaves it
+as it was. A nan or inf sample still reaches the output through the
+non-zero taps, but not as the nan that 0 * inf would have made.
+
+:func:`dwt_approx` runs the low-pass half of the analysis cascade alone,
+for callers that read only the approximation band.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ __all__ = [
     "PiecewiseConstantWavelet",
     "cwt_point",
     "dwt_analyze",
+    "dwt_approx",
     "dwt_synthesize",
     "haar_mother",
     "max_decomposition_depth",
@@ -82,7 +94,16 @@ def max_decomposition_depth(length: int) -> int:
     return depth
 
 
-def _analyze_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _live_taps(h: np.ndarray, g: np.ndarray | None = None) -> list[int]:
+    """The taps k, ascending, where h[k] or g[k] is non-zero."""
+    live = h != 0.0 if g is None else (h != 0.0) | (g != 0.0)
+    return np.flatnonzero(live).tolist()
+
+
+def _analyze_step(
+    x: np.ndarray, taps: list[int], h: np.ndarray, g: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One level over ``taps``: the approximation, and the details unless ``g`` is None."""
     if x.size % 2:
         x = np.append(x, x[-1])  # repeat-last extension before the periodic wrap
     m = x.size // 2
@@ -90,20 +111,21 @@ def _analyze_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     # each is a contiguous copy, so every tap reads a plain slice.
     phases = [np.resize(x[p::2], m + (h.size - 1) // 2) for p in (0, 1)]
     a = np.zeros(m)
-    d = np.zeros(m)
-    for k in range(h.size):
+    d = None if g is None else np.zeros(m)
+    for k in taps:
         window = phases[k % 2][k // 2 : k // 2 + m]
         a += h[k] * window
-        d += g[k] * window
+        if d is not None:
+            d += g[k] * window
     return a, d
 
 
 def _synthesize_step(
-    a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray, out_len: int
+    a: np.ndarray, d: np.ndarray, taps: list[int], h: np.ndarray, g: np.ndarray, out_len: int
 ) -> np.ndarray:
     m = a.size
     phases = (np.zeros(m), np.zeros(m))  # y[2j] and y[2j + 1]
-    for k in range(h.size):
+    for k in taps:
         # tap k lands on y[(2i + k) mod 2m]: phase k % 2, rotated by k // 2
         v = h[k] * a + g[k] * d
         phase, s = phases[k % 2], (k // 2) % m
@@ -114,8 +136,8 @@ def _synthesize_step(
     return y[:out_len]
 
 
-def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
-    """Decompose ``signal`` into ``levels`` detail bands plus one approximation band."""
+def _checked_signal(signal, levels: int) -> np.ndarray:
+    """``signal`` as float64, once it is 1-D and long enough for ``levels`` levels."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
@@ -129,15 +151,33 @@ def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
             f"depth {levels} is too deep for a length-{x.size} signal; "
             f"max feasible depth is {deepest}"
         )
+    return x
+
+
+def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
+    """Decompose ``signal`` into ``levels`` detail bands plus one approximation band."""
+    a = _checked_signal(signal, levels)
     h, g = filters.lowpass, filters.highpass
+    taps = _live_taps(h, g)
     lengths: list[int] = []
     details: list[np.ndarray] = []
-    a = x
     for _ in range(levels):
         lengths.append(a.size)
-        a, d = _analyze_step(a, h, g)
+        a, d = _analyze_step(a, taps, h, g)
         details.append(d)
     return Decomposition(levels, a, tuple(details), tuple(lengths))
+
+
+def dwt_approx(signal, filters: FilterPair, levels: int) -> np.ndarray:
+    """The level-``levels`` approximation band of :func:`dwt_analyze`, bit for bit.
+
+    Only the low-pass half of each level runs; no detail band is computed.
+    """
+    a = _checked_signal(signal, levels)
+    taps = _live_taps(filters.lowpass)
+    for _ in range(levels):
+        a, _ = _analyze_step(a, taps, filters.lowpass)
+    return a
 
 
 def dwt_synthesize(dec: Decomposition, filters: FilterPair) -> np.ndarray:
@@ -155,8 +195,9 @@ def dwt_synthesize(dec: Decomposition, filters: FilterPair) -> np.ndarray:
                 f"for recorded length {n}"
             )
     a = dec.approx
+    taps = _live_taps(h, g)
     for j in range(dec.levels - 1, -1, -1):
-        a = _synthesize_step(a, dec.details[j], h, g, dec.lengths[j])
+        a = _synthesize_step(a, dec.details[j], taps, h, g, dec.lengths[j])
     return a
 
 

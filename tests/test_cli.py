@@ -161,6 +161,31 @@ def test_non_finite_input_exits_with_its_position(dataset, tmp_path, capsys, com
     assert captured.err == f"megden: error: {bad}:3:5: non-finite value\n"
 
 
+def test_snir_energy_overflow_is_one_error_line(tmp_path, capsys):
+    save_matrix(np.full((2, 3), 1e200), tmp_path / "a.csv")
+    save_matrix(np.full((2, 3), -1e200), tmp_path / "b.csv")
+    argv = ["snir", "--mean", str(tmp_path / "a.csv"), "--calc", str(tmp_path / "b.csv")]
+    with np.errstate(all="raise"):
+        assert run_main(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "megden: error: y_mean energy of sensor 0 overflows the float64 range\n"
+    )
+
+
+@pytest.mark.parametrize("rows", [[[-1e17] * 4] * 2, [[1e200] * 4], [[-1e308, 1e308, 0.0]]])
+def test_plot_huge_values_exit_zero_with_finite_points(tmp_path, capsys, rows):
+    save_matrix(np.array(rows), tmp_path / "m.csv")
+    svg = tmp_path / "m.svg"
+    with np.errstate(all="raise"):
+        assert run_main("plot", "--in", str(tmp_path / "m.csv"), "--out", str(svg)) == 0
+    assert capsys.readouterr().err == ""
+    text = svg.read_text()
+    assert text.count("<polyline") == len(rows)
+    assert "nan" not in text and "inf" not in text
+
+
 def test_snir_output_format(dataset, tmp_path, capsys):
     avg = tmp_path / "avg.csv"
     den = tmp_path / "den.csv"

@@ -91,6 +91,22 @@ def test_non_finite_input_rejected(bad):
         snir(y, hole)
 
 
+@pytest.mark.parametrize(
+    "y_mean, y_calc, what",
+    [
+        (np.full((2, 3), 1e200), np.full((2, 3), -1e200), "y_mean energy of sensor 0"),
+        (np.ones((2, 3)), np.array([[1.0] * 3, [-1e200] * 3]),
+         "y_mean - y_calc energy of sensor 1"),
+    ],
+)
+def test_energy_overflow_rejected(y_mean, y_calc, what):
+    # squaring finite values past the float range must not turn into a nan dB
+    with np.errstate(all="raise"), pytest.raises(StructureError, match=what):
+        snir(y_mean, y_calc)
+    with np.errstate(all="raise"), pytest.raises(StructureError, match="overflows"):
+        rmse(y_mean, y_calc)
+
+
 def test_report_ratios_are_read_only():
     report = snir(np.ones((2, 2)), np.zeros((2, 2)))
     assert isinstance(report, SnirReport)

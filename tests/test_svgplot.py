@@ -52,6 +52,28 @@ def test_flat_data_still_renders():
     assert "nan" not in svg.lower()
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((2, 4), -1e17),  # lo - 1.0 == lo
+        np.full((2, 4), 1e200),
+        np.full((2, 4), -np.finfo(np.float64).max),
+        np.array([[-1e308, 1e308, 0.0]]),  # hi - lo overflows
+        np.array([[np.finfo(np.float64).max, 1.0], [2.0, -np.finfo(np.float64).max]]),
+    ],
+)
+def test_huge_values_give_finite_coordinates(matrix):
+    with np.errstate(all="raise"):
+        svg = render_traces(matrix, PlotSpec())
+    assert "nan" not in svg and "inf" not in svg
+    lines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert len(lines) == matrix.shape[0]
+    for line in lines:
+        points = line.split('points="')[1].split('"')[0].split()
+        ys = [float(p.split(",")[1]) for p in points]
+        assert all(48.0 <= y <= 542.0 for y in ys)  # inside the plot's inner box
+
+
 def test_single_column_rejected():
     # a polyline needs at least two points
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from megden.transform import (
     PiecewiseConstantWavelet,
     cwt_point,
     dwt_analyze,
+    dwt_approx,
     dwt_synthesize,
     haar_mother,
     max_decomposition_depth,
@@ -109,6 +110,7 @@ def test_kernels_match_loop_references_bit_for_bit(length, which, draw):
     approx, details, lengths = dwt_analyze_reference(x, pair, levels)
     assert dec.lengths == tuple(lengths)
     assert dec.approx.tobytes() == approx.tobytes()
+    assert dwt_approx(x, pair, levels).tobytes() == approx.tobytes()
     assert [d.tobytes() for d in dec.details] == [d.tobytes() for d in details]
     want = dwt_synthesize_reference(approx, details, lengths, pair)
     assert dwt_synthesize(dec, pair).tobytes() == want.tobytes()
@@ -193,19 +195,38 @@ def test_max_decomposition_depth(length, want):
     assert max_decomposition_depth(length) == want
 
 
-def test_analyze_depth_error_names_limit():
-    with pytest.raises(DepthError, match="4"):
-        dwt_analyze(np.zeros(16), make_daubechies4(), levels=5)
+@pytest.mark.parametrize("analyze", [dwt_analyze, dwt_approx])
+def test_analyze_depth_error_names_limit(analyze):
+    want = "^depth 5 is too deep for a length-16 signal; max feasible depth is 4$"
+    with pytest.raises(DepthError, match=want):
+        analyze(np.zeros(16), make_daubechies4(), levels=5)
 
 
-def test_analyze_rejects_bad_inputs():
+@pytest.mark.parametrize("analyze", [dwt_analyze, dwt_approx])
+def test_analyze_rejects_bad_inputs(analyze):
     pair = make_daubechies4()
-    with pytest.raises(ValueError):
-        dwt_analyze(np.zeros((4, 4)), pair, levels=1)
-    with pytest.raises(ValueError):
-        dwt_analyze(np.zeros(1), pair, levels=1)
-    with pytest.raises(ValueError):
-        dwt_analyze(np.zeros(8), pair, levels=0)
+    with pytest.raises(ValueError, match=r"^signal must be one-dimensional, got shape \(4, 4\)$"):
+        analyze(np.zeros((4, 4)), pair, levels=1)
+    with pytest.raises(ValueError, match="^signal must have at least 2 samples, got 1$"):
+        analyze(np.zeros(1), pair, levels=1)
+    with pytest.raises(ValueError, match="^decomposition depth must be >= 1, got 0$"):
+        analyze(np.zeros(8), pair, levels=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: f"{p.family.value}{p.param}")
+def test_a_non_finite_sample_leaves_the_approximation_non_finite(pair, bad):
+    # the kernels skip zero taps, which is exact only for finite input: a skipped
+    # 0 * inf would have been nan, so the bad sample must still reach the output
+    rng = np.random.default_rng(5)
+    for length in (2, 37, 241):
+        for where in (0, length // 2, length - 1):
+            x = rng.normal(size=length)
+            x[where] = bad
+            levels = max_decomposition_depth(length)
+            with np.errstate(invalid="ignore"):  # inf - inf inside a sum is nan: still non-finite
+                assert not np.isfinite(dwt_approx(x, pair, levels)).all()
+                assert not np.isfinite(dwt_analyze(x, pair, levels).approx).all()
 
 
 def test_synthesize_rejects_inconsistent_structure():
