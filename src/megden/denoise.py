@@ -11,6 +11,7 @@ and emits each estimate constantly across the post-stimulus window.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,26 +176,42 @@ def select_trial(trials: TrialSet, index: int) -> np.ndarray:
     return trials.trials[index]
 
 
+@contextmanager
+def _overflow_is_an_error(stage: str):
+    """Raise StructureError where ``stage`` leaves float64, not a RuntimeWarning and nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise StructureError(f"{stage} overflows the float64 range") from None
+
+
 def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 0) -> np.ndarray:
     """Denoise ``trials`` with ``config``'s estimator: the one entry point for both.
 
     ``config.mode`` picks one designated trial (``trial_index``, range
     checked) or the fixed trial-order mean over all trials; ``config.threshold``
-    picks the approximation or the soft-threshold estimator.
+    picks the approximation or the soft-threshold estimator. An estimate
+    that overflows the float64 range is a ``StructureError``.
     """
-    if config.mode is Mode.SINGLE_TRIAL:
-        return _estimator(config)(
-            select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
-        )
-    return denoise_multi(trials, config)
+    with _overflow_is_an_error("denoised estimate"):
+        if config.mode is Mode.SINGLE_TRIAL:
+            return _estimator(config)(
+                select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
+            )
+        return denoise_multi(trials, config)
 
 
 def average_trials(trials: TrialSet) -> np.ndarray:
-    """Element-wise mean across trials over the full pre+post window."""
-    acc = np.zeros_like(trials.trials[0])
-    for t in trials.trials:
-        acc += t
-    return acc / len(trials)
+    """Element-wise mean across trials over the full pre+post window.
+
+    A trial sum that overflows the float64 range is a ``StructureError``.
+    """
+    with _overflow_is_an_error("trial sum"):
+        acc = np.zeros_like(trials.trials[0])
+        for t in trials.trials:
+            acc += t
+        return acc / len(trials)
 
 
 def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:

@@ -9,18 +9,7 @@ import numpy as np
 from .errors import StructureError
 from .filters import _frozen
 
-__all__ = ["SnirReport", "rmse", "snir"]
-
-
-def _check_pair(y_ref, y_est) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(y_ref, dtype=np.float64)
-    b = np.asarray(y_est, dtype=np.float64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise StructureError(f"matrices must share a 2-D shape, got {a.shape} vs {b.shape}")
-    for name, m in (("y_mean", a), ("y_calc", b)):
-        if not np.isfinite(m).all():
-            raise StructureError(f"{name} holds a non-finite value")
-    return a, b
+__all__ = ["SnirReport", "snir"]
 
 
 def _check_energy(energy: np.ndarray, what: str) -> None:
@@ -36,8 +25,6 @@ class SnirReport:
 
     per_sensor_ratio: np.ndarray
     snir_db: float
-    sensors: int
-    samples: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_sensor_ratio", _frozen(self.per_sensor_ratio))
@@ -53,7 +40,13 @@ def snir(y_mean, y_calc) -> SnirReport:
     A ratio past the float64 range reads +inf too. A nan or inf in either
     input, or an energy that overflows the float64 range, is a ``StructureError``.
     """
-    a, b = _check_pair(y_mean, y_calc)
+    a = np.asarray(y_mean, dtype=np.float64)
+    b = np.asarray(y_calc, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise StructureError(f"matrices must share a 2-D shape, got {a.shape} vs {b.shape}")
+    for name, m in (("y_mean", a), ("y_calc", b)):
+        if not np.isfinite(m).all():
+            raise StructureError(f"{name} holds a non-finite value")
     with np.errstate(over="ignore"):
         signal_energy = np.sum(a * a, axis=1)
         error_energy = np.sum((a - b) ** 2, axis=1)
@@ -64,14 +57,4 @@ def snir(y_mean, y_calc) -> SnirReport:
         ratio[error_energy == 0.0] = np.inf
         mean_ratio = float(np.mean(ratio))
         snir_db = float(10.0 * np.log10(mean_ratio))  # -inf for an all-zero reference
-    return SnirReport(ratio, snir_db, sensors=a.shape[0], samples=a.shape[1])
-
-
-def rmse(y_mean, y_calc) -> float:
-    """Root-mean-square difference over all elements; StructureError if its mean overflows."""
-    a, b = _check_pair(y_mean, y_calc)
-    with np.errstate(over="ignore"):
-        mse = np.mean((a - b) ** 2)
-    if not np.isfinite(mse):
-        raise StructureError("mean squared difference overflows the float64 range")
-    return float(np.sqrt(mse))
+    return SnirReport(ratio, snir_db)

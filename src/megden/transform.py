@@ -1,4 +1,4 @@
-"""Cascaded QMF multiresolution analysis and synthesis, plus a pointwise CWT.
+"""Cascaded QMF multiresolution analysis and synthesis.
 
 The discrete transform is dyadic (scale factor 2, unit shift) and
 periodized: each level computes the decimated periodic correlations
@@ -36,7 +36,6 @@ for callers that read only the approximation band.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,10 @@ from .errors import DepthError, StructureError
 from .filters import FilterPair, _frozen
 
 __all__ = [
-    "CwtQuery",
     "Decomposition",
-    "PiecewiseConstantWavelet",
-    "cwt_point",
     "dwt_analyze",
     "dwt_approx",
     "dwt_synthesize",
-    "haar_mother",
     "max_decomposition_depth",
 ]
 
@@ -199,68 +194,3 @@ def dwt_synthesize(dec: Decomposition, filters: FilterPair) -> np.ndarray:
     for j in range(dec.levels - 1, -1, -1):
         a = _synthesize_step(a, dec.details[j], taps, h, g, dec.lengths[j])
     return a
-
-
-@dataclass(frozen=True)
-class CwtQuery:
-    """One continuous-transform evaluation point: scale, shift, and sample spacing."""
-
-    scale: float
-    shift: float
-    dt: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale == 0.0:
-            raise ValueError("scale must be nonzero")
-        if self.dt <= 0.0:
-            raise ValueError(f"sample spacing must be positive, got {self.dt}")
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantWavelet:
-    """Mother wavelet given as constant pieces (start, stop, value) on [start, stop).
-
-    The pieces must integrate to zero (a wavelet has zero mean); points
-    outside every piece evaluate to 0.
-    """
-
-    pieces: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        pieces = tuple((float(a), float(b), float(v)) for a, b, v in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        if not pieces:
-            raise ValueError("wavelet needs at least one piece")
-        for a, b, _ in pieces:
-            if not a < b:
-                raise ValueError(f"piece [{a}, {b}) is empty or reversed")
-        integral = sum(v * (b - a) for a, b, v in pieces)
-        mass = sum(abs(v) * (b - a) for a, b, v in pieces)
-        if abs(integral) > 1e-12 * max(mass, 1.0):
-            raise ValueError(f"pieces integrate to {integral!r}, expected 0")
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        for a, b, v in self.pieces:
-            out += v * ((t >= a) & (t < b))
-        return out
-
-
-def haar_mother() -> PiecewiseConstantWavelet:
-    """Unit-norm Haar mother wavelet: +1 on [0, 0.5), -1 on [0.5, 1)."""
-    return PiecewiseConstantWavelet(((0.0, 0.5, 1.0), (0.5, 1.0, -1.0)))
-
-
-def cwt_point(signal, query: CwtQuery, wavelet: PiecewiseConstantWavelet) -> float:
-    """Rectangle-rule transform value sum_k x[k] |a|^(-1/2) psi((k*dt - b)/a) dt.
-
-    Samples x[k] are taken at t = k*dt; the supported wavelets are real,
-    so no conjugation is involved.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
-    t = np.arange(x.size) * query.dt
-    psi = wavelet((t - query.shift) / query.scale)
-    return float((x @ psi) * query.dt / math.sqrt(abs(query.scale)))

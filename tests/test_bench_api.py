@@ -7,6 +7,7 @@ library deletion from breaking the benchmark unnoticed.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from megden import dataio, denoise, errors, filters, metrics, svgplot, transform
 from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.filters import Family
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACING = BENCH / "tracing.py"
 
 
@@ -89,6 +91,21 @@ def test_every_traced_target_resolves():
         assert callable(getattr(importlib.import_module(f"megden.{module}"), function)), (
             f"megden.{module}.{function}"
         )
+
+
+def test_every_public_name_has_a_reader():
+    # a name is read where it appears other than on its own def/class line or
+    # in an __all__ list: in the package, the bench, the README or the gate
+    src = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "src" / "megden").glob("*.py"))
+    src = re.sub(r"__all__ = \[.*?\]", "", src, flags=re.S)
+    src = re.sub(r"^\s*(?:def|class) \w+", "", src, flags=re.M)
+    others = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py", *BENCH.glob("*.py")]
+    texts = [src, *(p.read_text(encoding="utf-8") for p in others)]
+    unread = [
+        name for name in megden.__all__
+        if not any(re.search(rf"\b{name}\b", text) for text in texts)
+    ]
+    assert unread == []
 
 
 def test_bench_modes_and_threshold_signature():

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from xml.dom import minidom
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import load_matrix_reference
 from megden import dataio
 from megden.cli import main
 from megden.dataio import load_matrix, save_matrix
+from megden.denoise import TrialSet
 
 GEN_SMALL = "--sensors 6 --pre 3 --post 8 --trials 2".split()
 
@@ -172,6 +174,27 @@ def test_snir_energy_overflow_is_one_error_line(tmp_path, capsys):
     assert captured.err == (
         "megden: error: y_mean energy of sensor 0 overflows the float64 range\n"
     )
+
+
+@pytest.mark.parametrize("signs", [[1.0] * 6, [1.0, -1.0] * 3], ids=["positive", "mixed"])
+@pytest.mark.parametrize(
+    "command",
+    [["average"], ["denoise", "--wavelet", "db4", "--scales", "2"],
+     ["denoise", "--threshold", "--scales", "2"]],
+    ids=["average", "denoise", "denoise-threshold"],
+)
+def test_float_limit_dataset_is_one_error_line(tmp_path, capsys, signs, command):
+    # every sample is finite, but the trial sum and the estimates leave float64
+    trial = np.array(signs)[:, None] * np.full((6, 42), 1.5e308)
+    dataio.write_dataset(TrialSet((trial,) * 3, 6, 2, 40), tmp_path / "d")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
+        warnings.simplefilter("error")
+        code = run_main(*command, "--data", str(tmp_path / "d"), "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("megden: error:") and "overflows" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows", [[[-1e17] * 4] * 2, [[1e200] * 4], [[-1e308, 1e308, 0.0]]])

@@ -3,7 +3,8 @@
 Hypothesis draws argv for ``cli.main`` from each subparser's option
 table as ``build_parser`` defines it: ints including negatives and huge
 values, floats including nan, inf and 1e308, any string as a plot title,
-and input paths that exist, are missing or hold the wrong kind of file.
+and input paths that exist, are missing, hold the wrong kind of file
+or hold a dataset whose sums overflow float64.
 Dataset sizes are capped so each run stays small; the huge size values
 are ones numpy refuses before it allocates anything. The affinity mask
 is stubbed to 1 or 2 CPUs.
@@ -33,7 +34,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from megden.cli import build_parser, main
-from megden.dataio import load_dataset, load_manifest, load_matrix
+from megden.dataio import load_dataset, load_manifest, load_matrix, write_dataset
+from megden.denoise import TrialSet
 
 # Each strategy mixes in-range values, so every command also reaches exit 0,
 # with negatives, huge values and non-finite floats.
@@ -68,15 +70,18 @@ def option_table() -> dict[str, list[argparse.Action]]:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A small dataset plus CSVs made from it; every input path the fuzzer may pass."""
+    """Small datasets plus CSVs made from one; every input path the fuzzer may pass."""
     root = tmp_path_factory.mktemp("inputs")
     data = root / "data"
     gen = ["gen", "--seed", "3", "--out", str(data)]
     assert main([*gen, "--sensors", "4", "--pre", "2", "--post", "40", "--trials", "3"]) == 0
     assert main(["average", "--data", str(data), "--out", str(root / "avg.csv")]) == 0
     assert main(["denoise", "--data", str(data), "--out", str(root / "den.csv"), "--scales", "2"]) == 0
+    # finite samples whose trial sum and estimates overflow float64
+    near_limit = root / "near_limit"
+    write_dataset(TrialSet((np.full((6, 42), 1.5e308),) * 3, 6, 2, 40), near_limit)
     return {
-        "data": [data, root / "missing", root / "avg.csv"],
+        "data": [data, root / "missing", root / "avg.csv", near_limit],
         "csv": [root / "avg.csv", root / "den.csv", data / "trial_0.csv",
                 data / "manifest.json", root / "missing.csv"],
     }

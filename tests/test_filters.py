@@ -186,7 +186,7 @@ def test_freq_magnitude_envelope_bound(n, omega):
         ((1, 4), lambda a, b: TrialSet((a, b), sensors=1, pre_samples=1, post_samples=3)),
         ((4,), lambda a, b: FilterPair(Family.DAUBECHIES4, 0, a, b)),
         ((4,), lambda a, b: SensorEstimate(a, wavelet_count=4, mean_filled_count=0)),
-        ((4,), lambda a, b: SnirReport(a, 0.0, sensors=4, samples=1)),
+        ((4,), lambda a, b: SnirReport(a, 0.0)),
     ],
     ids=["Decomposition", "TrialSet", "FilterPair", "SensorEstimate", "SnirReport"],
 )

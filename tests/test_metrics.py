@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from megden.errors import StructureError
-from megden.metrics import SnirReport, rmse, snir
+from megden.metrics import SnirReport, snir
 
 
 def test_zero_estimate_gives_exactly_zero_db():
@@ -52,8 +52,6 @@ def test_db_uses_mean_of_per_sensor_ratios():
     # each row reduces to ratio 1, and 10*log10(mean([1, 1])) = 0
     assert np.allclose(report.per_sensor_ratio, [1.0, 1.0])
     assert report.snir_db == 0.0
-    assert report.sensors == 2
-    assert report.samples == 2
 
 
 def test_scaling_both_inputs_preserves_snir():
@@ -103,8 +101,6 @@ def test_energy_overflow_rejected(y_mean, y_calc, what):
     # squaring finite values past the float range must not turn into a nan dB
     with np.errstate(all="raise"), pytest.raises(StructureError, match=what):
         snir(y_mean, y_calc)
-    with np.errstate(all="raise"), pytest.raises(StructureError, match="overflows"):
-        rmse(y_mean, y_calc)
 
 
 def test_report_ratios_are_read_only():
@@ -112,20 +108,3 @@ def test_report_ratios_are_read_only():
     assert isinstance(report, SnirReport)
     with pytest.raises(ValueError):
         report.per_sensor_ratio[0] = 5.0
-
-
-def test_rmse_known_values():
-    a = np.array([[1.0, 2.0, 3.0]])
-    assert rmse(a, a) == 0.0
-    assert abs(rmse(a, a + 3.0) - 3.0) < 1e-12
-
-
-def test_rmse_matches_element_loop():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 5))
-    b = rng.normal(size=(3, 5))
-    total = 0.0
-    for i in range(3):
-        for j in range(5):
-            total += (a[i, j] - b[i, j]) ** 2
-    assert abs(rmse(a, b) - np.sqrt(total / 15.0)) < 1e-12

@@ -8,14 +8,10 @@ from oracles import dwt_analyze_reference, dwt_synthesize_reference
 from megden.errors import DepthError, StructureError
 from megden.filters import make_adjusted_haar, make_coiflet1, make_daubechies4
 from megden.transform import (
-    CwtQuery,
     Decomposition,
-    PiecewiseConstantWavelet,
-    cwt_point,
     dwt_analyze,
     dwt_approx,
     dwt_synthesize,
-    haar_mother,
     max_decomposition_depth,
 )
 
@@ -266,55 +262,3 @@ def test_filter_longer_than_signal_still_inverts():
     x = np.array([3.0, -1.0, 2.0, 5.0])
     back = dwt_synthesize(dwt_analyze(x, pair, 1), pair)
     assert np.max(np.abs(back - x)) < 1e-12
-
-
-def test_haar_mother_shape():
-    psi = haar_mother()
-    assert psi(0.25) == 1.0
-    assert psi(0.75) == -1.0
-    assert psi(-0.1) == 0.0
-    assert psi(1.0) == 0.0
-    t = np.array([0.0, 0.49, 0.5, 0.99])
-    assert np.array_equal(psi(t), [1.0, 1.0, -1.0, -1.0])
-
-
-def test_piecewise_wavelet_requires_zero_integral():
-    with pytest.raises(ValueError):
-        PiecewiseConstantWavelet(pieces=((0.0, 1.0, 1.0),))
-    with pytest.raises(ValueError):
-        PiecewiseConstantWavelet(pieces=((0.5, 0.5, 1.0), (0.5, 1.0, -1.0)))
-
-
-def test_cwt_point_rectangle_rule():
-    # hand case: x=[1,2,3,4], dt=1, scale=2, shift=1 -> only samples 1 and 2
-    # land inside the Haar support, with values +1 and -1
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    got = cwt_point(x, CwtQuery(scale=2.0, shift=1.0, dt=1.0), haar_mother())
-    assert abs(got - (2.0 - 3.0) / np.sqrt(2.0)) < 1e-15
-
-
-def test_cwt_quadrature_cases():
-    dt = 0.001
-    t = np.arange(0.0, 1.0, dt)
-    psi = haar_mother()
-
-    # wavelet against itself integrates to its unit norm
-    got = cwt_point(psi(t), CwtQuery(scale=1.0, shift=0.0, dt=dt), psi)
-    assert abs(got - 1.0) < 5e-3
-
-    # zero-mean wavelet annihilates constants at any scale/shift inside the window
-    got = cwt_point(np.full(t.size, 3.7), CwtQuery(scale=0.5, shift=0.25, dt=dt), psi)
-    assert abs(got) < 5e-3
-
-    # scaled/shifted copy at matching query also yields the unit norm
-    t2 = np.arange(0.0, 2.0, dt)
-    stretched = psi(t2 / 2.0) / np.sqrt(2.0)
-    got = cwt_point(stretched, CwtQuery(scale=2.0, shift=0.0, dt=dt), psi)
-    assert abs(got - 1.0) < 5e-3
-
-
-def test_cwt_query_validation():
-    with pytest.raises(ValueError):
-        CwtQuery(scale=0.0, shift=0.0, dt=1.0)
-    with pytest.raises(ValueError):
-        CwtQuery(scale=1.0, shift=0.0, dt=0.0)
