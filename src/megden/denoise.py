@@ -10,8 +10,8 @@ and emits each estimate constantly across the post-stimulus window.
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,6 +120,25 @@ def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:
     return m[:, pre:].reshape(-1)
 
 
+def _overflow_is_an_error(stage: str):
+    """Make an estimator raise StructureError where ``stage`` overflows float64.
+
+    Only an overflow takes finite input out of float64. A nan or inf sample
+    stays non-finite, and inf - inf gives nan without a warning.
+    """
+    def decorate(estimator):
+        @functools.wraps(estimator)
+        def guarded(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", invalid="ignore"):
+                    return estimator(*args, **kwargs)
+            except FloatingPointError:
+                raise StructureError(f"{stage} overflows the float64 range") from None
+        return guarded
+    return decorate
+
+
+@_overflow_is_an_error("denoised estimate")
 def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> SensorEstimate:
     """Estimate one amplitude per sensor from the deep approximation band.
 
@@ -159,6 +178,7 @@ def _estimator(config: DenoiseConfig):
     return threshold_denoise if config.threshold else denoise_trial
 
 
+@_overflow_is_an_error("denoised estimate")
 def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
     """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order."""
     pre, post = trials.pre_samples, trials.post_samples
@@ -176,16 +196,6 @@ def select_trial(trials: TrialSet, index: int) -> np.ndarray:
     return trials.trials[index]
 
 
-@contextmanager
-def _overflow_is_an_error(stage: str):
-    """Raise StructureError where ``stage`` leaves float64, not a RuntimeWarning and nan."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise StructureError(f"{stage} overflows the float64 range") from None
-
-
 def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 0) -> np.ndarray:
     """Denoise ``trials`` with ``config``'s estimator: the one entry point for both.
 
@@ -194,41 +204,57 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
     picks the approximation or the soft-threshold estimator. An estimate
     that overflows the float64 range is a ``StructureError``.
     """
-    with _overflow_is_an_error("denoised estimate"):
-        if config.mode is Mode.SINGLE_TRIAL:
-            return _estimator(config)(
-                select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
-            )
-        return denoise_multi(trials, config)
+    if config.mode is Mode.SINGLE_TRIAL:
+        return _estimator(config)(
+            select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
+        )
+    return denoise_multi(trials, config)
 
 
+@_overflow_is_an_error("trial sum")
 def average_trials(trials: TrialSet) -> np.ndarray:
     """Element-wise mean across trials over the full pre+post window.
 
     A trial sum that overflows the float64 range is a ``StructureError``.
     """
-    with _overflow_is_an_error("trial sum"):
-        acc = np.zeros_like(trials.trials[0])
-        for t in trials.trials:
-            acc += t
-        return acc / len(trials)
+    acc = np.zeros_like(trials.trials[0])
+    for t in trials.trials:
+        acc += t
+    return acc / len(trials)
 
 
+def _median(x: np.ndarray):
+    """``np.median(x)`` from one partition and the same arithmetic; a nan sorts last."""
+    k = x.size // 2
+    if x.size % 2:
+        return np.partition(x, k)[k]
+    p = np.partition(x, (k - 1, k))
+    return (p[k - 1] + p[k]) / 2.0
+
+
+@_overflow_is_an_error("denoised estimate")
 def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:
     """Soft-threshold the detail bands of the concatenated vector and reconstruct.
 
     Universal rule: noise scale sigma = median(|d1|)/0.6745 from the
     finest details, threshold lambda = sigma * sqrt(2 ln(K*post)) applied
-    to every detail band.
+    to every detail band. The median takes ``np.median``'s middle partition
+    element(s) and arithmetic, but leaves out a nan, which the shrink and
+    rebuild still carry to the output. copysign(max(|d| - lambda, 0), d)
+    equals sign(d) * max(|d| - lambda, 0): no analysis band holds -0.0.
     """
     m = np.asarray(trial, dtype=np.float64)
     vec = concatenate_post_stimulus(m, pre, post)
     pair = make_filter(config.family, config.param)
     dec = dwt_analyze(vec, pair, config.scales)
-    sigma = float(np.median(np.abs(dec.details[0]))) / 0.6745
+    mags = [np.abs(d) for d in dec.details]
+    sigma = _median(mags[0]) / 0.6745
     lam = sigma * math.sqrt(2.0 * math.log(vec.size))
-    shrunk = tuple(np.sign(d) * np.maximum(np.abs(d) - lam, 0.0) for d in dec.details)
+    for mag, d in zip(mags, dec.details):
+        mag -= lam
+        np.maximum(mag, 0.0, out=mag)
+        np.copysign(mag, d, out=mag)
     rebuilt = dwt_synthesize(
-        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths), pair
+        Decomposition(dec.levels, dec.approx, tuple(mags), dec.lengths), pair
     )
     return rebuilt.reshape(m.shape[0], post)

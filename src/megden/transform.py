@@ -30,6 +30,12 @@ adding the +-0.0 that a zero tap times a finite sample gives leaves it
 as it was. A nan or inf sample still reaches the output through the
 non-zero taps, but not as the nan that 0 * inf would have made.
 
+Synthesis skips g[k]*d where the detail band d is all +-0.0, as soft
+thresholding zeroes whole fine bands. g[k]*d is then +-0.0, so h[k]*a and
+h[k]*a + g[k]*d differ at most in the sign of a zero, and a sum that
+never holds -0.0 adds either to the same bits. A band holding nan or inf
+is not all zero, so it is never skipped.
+
 :func:`dwt_approx` runs the low-pass half of the analysis cascade alone,
 for callers that read only the approximation band.
 """
@@ -120,9 +126,10 @@ def _synthesize_step(
 ) -> np.ndarray:
     m = a.size
     phases = (np.zeros(m), np.zeros(m))  # y[2j] and y[2j + 1]
+    has_details = d.any()
     for k in taps:
         # tap k lands on y[(2i + k) mod 2m]: phase k % 2, rotated by k // 2
-        v = h[k] * a + g[k] * d
+        v = h[k] * a + g[k] * d if has_details else h[k] * a
         phase, s = phases[k % 2], (k // 2) % m
         phase[s:] += v[: m - s]
         phase[:s] += v[m - s :]

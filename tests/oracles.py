@@ -5,21 +5,30 @@ The library writes CSV with one format string per row, parses it with
 polyline. These per-value versions are the semantic references the
 tests hold those fast paths to, byte for byte and bit for bit. The
 threshold mean is the per-trial loop that ``denoise --threshold`` ran
-before it went through ``denoise_dataset``. The DWT references read each
-tap through a stride-2 window and scatter it through an index array;
-the library's phase-slice kernels must match them bit for bit.
+before it went through ``denoise_dataset``, over the threshold estimator
+as it was written before it took its median from a partition and its
+shrink from ``copysign``. The DWT references read each tap through a
+stride-2 window and scatter it through an index array; the library's
+phase-slice kernels must match them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from megden.denoise import DenoiseConfig, Mode, TrialSet, select_trial, threshold_denoise
+from megden.denoise import (
+    DenoiseConfig,
+    Mode,
+    TrialSet,
+    concatenate_post_stimulus,
+    select_trial,
+)
 from megden.errors import DatasetError
-from megden.filters import FilterPair
+from megden.filters import FilterPair, make_filter
 from megden.svgplot import _PALETTE, PlotSpec
 
 
@@ -56,19 +65,6 @@ def load_matrix_reference(path) -> np.ndarray:
     if not rows:
         raise DatasetError(f"{path}:1: empty data file")
     return np.array(rows, dtype=np.float64)
-
-
-def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int = 0) -> np.ndarray:
-    """Fixed trial-order mean of ``threshold_denoise``, accumulated from the first output."""
-    if config.mode is Mode.SINGLE_TRIAL:
-        picked = [select_trial(trials, index)]
-    else:
-        picked = list(trials.trials)
-    acc = None
-    for t in picked:
-        out = threshold_denoise(t, config, trials.pre_samples, trials.post_samples)
-        acc = out if acc is None else acc + out
-    return acc / len(picked)
 
 
 def analyze_step_reference(x: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -114,6 +110,31 @@ def dwt_synthesize_reference(approx, details, lengths, filters: FilterPair) -> n
     for d, n in zip(reversed(details), reversed(lengths)):
         a = synthesize_step_reference(a, d, filters.lowpass, filters.highpass, n)
     return a
+
+
+def threshold_denoise_reference(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:
+    """The universal-rule shrinkage through ``np.median`` and ``np.sign * np.maximum``."""
+    m = np.asarray(trial, dtype=np.float64)
+    vec = concatenate_post_stimulus(m, pre, post)
+    pair = make_filter(config.family, config.param)
+    approx, details, lengths = dwt_analyze_reference(vec, pair, config.scales)
+    sigma = float(np.median(np.abs(details[0]))) / 0.6745
+    lam = sigma * math.sqrt(2.0 * math.log(vec.size))
+    shrunk = [np.sign(d) * np.maximum(np.abs(d) - lam, 0.0) for d in details]
+    return dwt_synthesize_reference(approx, shrunk, lengths, pair).reshape(m.shape[0], post)
+
+
+def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int = 0) -> np.ndarray:
+    """Fixed trial-order mean of the reference estimator, accumulated from the first output."""
+    if config.mode is Mode.SINGLE_TRIAL:
+        picked = [select_trial(trials, index)]
+    else:
+        picked = list(trials.trials)
+    acc = None
+    for t in picked:
+        out = threshold_denoise_reference(t, config, trials.pre_samples, trials.post_samples)
+        acc = out if acc is None else acc + out
+    return acc / len(picked)
 
 
 def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import threshold_mean_reference
+from oracles import threshold_denoise_reference, threshold_mean_reference
 
 from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.denoise import (
@@ -289,6 +290,86 @@ def test_threshold_zeroes_pure_noise_details():
     ).reshape(4, post)
     got = threshold_denoise(trial, config, pre, post)
     assert np.max(np.abs(got - approx_only)) < 1e-12
+
+
+# signed zeros, subnormals and wide magnitudes are where the partition median
+# or the copysign shrink would first show a different bit
+EDGE_FLOATS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.integers(1, 75), extended=st.booleans(), draw=st.data())
+@pytest.mark.parametrize("finest", ["odd", "even"])
+@pytest.mark.parametrize(
+    "family",
+    [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0)]
+    + [(Family.ADJUSTED_HAAR, n) for n in (0, 2, 8)],
+    ids=["db4", "coif1", "ahaar0", "ahaar2", "ahaar8"],
+)
+def test_threshold_denoise_matches_the_reference_bit_for_bit(family, finest, pairs, extended, draw):
+    # a length-n vector has a finest band of ceil(n/2) coefficients: an odd count
+    # takes the middle partition element, an even one the mean of the middle two
+    finest_size = 2 * pairs - (finest == "odd")
+    n = 2 * finest_size - extended
+    assume(n >= 2)
+    sensors = draw.draw(st.sampled_from([k for k in range(1, 7) if n % k == 0]))
+    post = n // sensors
+    pre = draw.draw(st.integers(0, 3))
+    trial = draw.draw(arrays(np.float64, (sensors, pre + post), elements=EDGE_FLOATS))
+    for scales in range(1, max_decomposition_depth(n) + 1):
+        config = DenoiseConfig(family[0], family[1], scales, threshold=True)
+        got = threshold_denoise(trial, config, pre, post)
+        want = threshold_denoise_reference(trial, config, pre, post)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}{f[1]}")
+def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, bad):
+    # the partition sorts a nan last and so leaves it out of the median, where
+    # np.median returned nan; the bad sample must still reach the output. It
+    # sits in the post-stimulus window, the only part the estimator reads.
+    rng = np.random.default_rng(3)
+    for sensors, pre, post in ((4, 2, 10), (3, 1, 13), (1, 0, 2)):
+        for where in (0, sensors * post // 2, sensors * post - 1):
+            trials = rng.normal(size=(2, sensors, pre + post))
+            trials[1, where // post, pre + where % post] = bad
+            ts = TrialSet(tuple(trials), sensors, pre, post)
+            for scales in range(1, max_decomposition_depth(sensors * post) + 1):
+                config = DenoiseConfig(family[0], family[1], scales, threshold=True)
+                with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
+                    warnings.simplefilter("error")
+                    assert not np.isfinite(threshold_denoise(ts.trials[1], config, pre, post)).all()
+                    try:
+                        out = denoise_dataset(ts, config)
+                    except StructureError:
+                        continue
+                assert not np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("signs", [[1.0] * 6, [1.0, -1.0] * 3], ids=["positive", "mixed"])
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda ts, c: threshold_denoise(ts.trials[0], c, ts.pre_samples, ts.post_samples),
+        lambda ts, c: denoise_trial(ts.trials[0], c, ts.pre_samples, ts.post_samples),
+        lambda ts, c: estimate_sensors(ts.trials[0], c, ts.pre_samples, ts.post_samples),
+        denoise_multi,
+    ],
+    ids=["threshold_denoise", "denoise_trial", "estimate_sensors", "denoise_multi"],
+)
+def test_each_exported_estimator_turns_overflow_into_a_structure_error(signs, estimator):
+    # every sample is finite, but the estimates leave float64
+    trial = np.array(signs)[:, None] * np.full((6, 42), 1.5e308)
+    ts = TrialSet((trial,) * 3, 6, 2, 40)
+    config = DenoiseConfig(Family.DAUBECHIES4, scales=2)
+    with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match="^denoised estimate overflows the float64 range$"):
+            estimator(ts, config)
 
 
 def test_trialset_validation():

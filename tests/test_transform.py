@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import dwt_analyze_reference, dwt_synthesize_reference
+from oracles import dwt_analyze_reference, dwt_synthesize_reference, synthesize_step_reference
 
 from megden.errors import DepthError, StructureError
 from megden.filters import make_adjusted_haar, make_coiflet1, make_daubechies4
@@ -117,6 +117,51 @@ def test_kernels_match_loop_references_bit_for_bit(length, which, draw):
     raw = Decomposition(levels, top, tuple(bands), tuple(lengths))
     want = dwt_synthesize_reference(top, bands, lengths, pair)
     assert dwt_synthesize(raw, pair).tobytes() == want.tobytes()
+
+
+def _zero_band(kind: str, size: int, rng) -> np.ndarray:
+    if kind == "positive-zeros":
+        return np.zeros(size)
+    if kind == "negative-zeros":
+        return np.full(size, -0.0)
+    band = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+    if kind == "one-normal":
+        band[rng.integers(size)] = rng.normal()
+    elif kind == "one-subnormal":  # g[k] * 5e-324 can round to a signed zero
+        band[rng.integers(size)] = -5e-324
+    return band
+
+
+@pytest.mark.parametrize(
+    "kind", ["positive-zeros", "negative-zeros", "mixed-zeros", "one-normal", "one-subnormal"]
+)
+@pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: f"{p.family.value}{p.param}")
+def test_synthesis_of_zero_detail_bands_matches_the_reference(pair, kind):
+    # synthesis skips g[k] * d for a band of +-0.0 only; a band with one non-zero
+    # coefficient takes the full sum. The approximation holds signed zeros too,
+    # so h[k] * a is -0.0 where h[k] * a + g[k] * d would be +0.0.
+    h, g = pair.lowpass, pair.highpass
+    rng = np.random.default_rng(11)
+    for out_len in (2, 3, 7, 8, 37, 240):
+        size = (out_len + 1) // 2
+        a = rng.normal(size=size)
+        a[rng.random(size) < 0.3] = -0.0
+        a[rng.random(size) < 0.3] = 0.0
+        d = _zero_band(kind, size, rng)
+        dec = Decomposition(1, a, (d,), (out_len,))
+        want = synthesize_step_reference(a, d, h, g, out_len)
+        assert dwt_synthesize(dec, pair).tobytes() == want.tobytes()
+        # two levels: a zero band under a non-zero one, and the reverse
+        if out_len >= 7:
+            lengths = (out_len, size)
+            inner = (size + 1) // 2
+            top = rng.normal(size=inner)
+            under = (d, rng.normal(size=inner))
+            over = (rng.normal(size=size), _zero_band(kind, inner, rng))
+            for bands in (under, over):
+                want = dwt_synthesize_reference(top, list(bands), list(lengths), pair)
+                got = dwt_synthesize(Decomposition(2, top, bands, lengths), pair)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_haar_level_is_pairwise_sum_and_difference():
