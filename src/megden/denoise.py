@@ -10,8 +10,8 @@ and emits each estimate constantly across the post-stimulus window.
 
 from __future__ import annotations
 
-import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,22 +120,14 @@ def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:
     return m[:, pre:].reshape(-1)
 
 
+@contextmanager
 def _overflow_is_an_error(stage: str):
-    """Make an estimator raise StructureError where ``stage`` overflows float64.
-
-    Only an overflow takes finite input out of float64. A nan or inf sample
-    stays non-finite, and inf - inf gives nan without a warning.
-    """
-    def decorate(estimator):
-        @functools.wraps(estimator)
-        def guarded(*args, **kwargs):
-            try:
-                with np.errstate(over="raise", invalid="ignore"):
-                    return estimator(*args, **kwargs)
-            except FloatingPointError:
-                raise StructureError(f"{stage} overflows the float64 range") from None
-        return guarded
-    return decorate
+    """Raise StructureError where ``stage`` overflows float64; nan and inf stay quiet."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            yield
+    except FloatingPointError:
+        raise StructureError(f"{stage} overflows the float64 range") from None
 
 
 @_overflow_is_an_error("denoised estimate")
@@ -224,12 +216,10 @@ def average_trials(trials: TrialSet) -> np.ndarray:
 
 
 def _median(x: np.ndarray):
-    """``np.median(x)`` from one partition and the same arithmetic; a nan sorts last."""
-    k = x.size // 2
-    if x.size % 2:
-        return np.partition(x, k)[k]
-    p = np.partition(x, (k - 1, k))
-    return (p[k - 1] + p[k]) / 2.0
+    """``np.median(x)``'s arithmetic on one partition, which sorts a nan last."""
+    k, odd = divmod(x.size, 2)
+    p = np.partition(x, k if odd else (k - 1, k))
+    return p[k] if odd else (p[k - 1] + p[k]) / 2.0
 
 
 @_overflow_is_an_error("denoised estimate")
@@ -252,9 +242,6 @@ def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.n
     lam = sigma * math.sqrt(2.0 * math.log(vec.size))
     for mag, d in zip(mags, dec.details):
         mag -= lam
-        np.maximum(mag, 0.0, out=mag)
-        np.copysign(mag, d, out=mag)
-    rebuilt = dwt_synthesize(
-        Decomposition(dec.levels, dec.approx, tuple(mags), dec.lengths), pair
-    )
-    return rebuilt.reshape(m.shape[0], post)
+        np.copysign(np.maximum(mag, 0.0, out=mag), d, out=mag)
+    shrunk = Decomposition(dec.levels, dec.approx, tuple(mags), dec.lengths)
+    return dwt_synthesize(shrunk, pair).reshape(m.shape[0], post)
