@@ -372,6 +372,19 @@ def test_each_exported_estimator_turns_overflow_into_a_structure_error(signs, es
             estimator(ts, config)
 
 
+@pytest.mark.parametrize("threshold", [False, True], ids=["approx", "threshold"])
+def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(threshold):
+    # each trial's estimate is finite; only the sum of the three leaves float64
+    ts = TrialSet((np.full((6, 42), 6e307),) * 3, 6, 2, 40)
+    config = DenoiseConfig(Family.DAUBECHIES4, scales=2, threshold=threshold)
+    with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
+        warnings.simplefilter("error")
+        estimator = threshold_denoise if threshold else denoise_trial
+        assert np.isfinite(estimator(ts.trials[0], config, 2, 40)).all()
+        with pytest.raises(StructureError, match="^denoised estimate overflows the float64 range$"):
+            denoise_multi(ts, config)
+
+
 def test_trialset_validation():
     good = np.zeros((2, 5))
     with pytest.raises(StructureError):
