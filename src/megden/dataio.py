@@ -10,7 +10,10 @@ the dataset bytes.
 The trial CSVs are written and parsed by one forked worker per CPU in
 the process's affinity mask (narrow it with ``taskset`` or
 ``os.sched_setaffinity``); the output and the first error do not depend
-on the count.
+on the count. Fork pays on two CPUs (the README gives the timings),
+though the parent already runs OpenBLAS threads: a child only parses,
+formats, writes and pickles, and never calls BLAS. Python 3.12+ warns
+``DeprecationWarning`` on such a fork; megden does not filter it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import os
 import pickle
 from dataclasses import asdict, dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -159,21 +163,19 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
         base[:, config.pre_samples :] = gains[:, None] * response[None, :]
 
         if config.noise_sigma > 0.0:
-            noise = rng.gaussian(config.trials * config.sensors * total)
-            noise = config.noise_sigma * noise.reshape(config.trials, config.sensors, total)
-            mats = [base + noise[i] for i in range(config.trials)]
-        else:  # one block: a count too large to hold fails before the first copy
-            mats = list(np.broadcast_to(base, (config.trials, *base.shape)).copy())
-    if not all(np.isfinite(m).all() for m in mats):
+            shape = (config.trials, config.sensors, total)
+            block = config.noise_sigma * rng.gaussian(math.prod(shape)).reshape(shape)
+            block += base
+        else:  # a zero block added to base would turn its -0.0 samples into 0.0
+            block = np.broadcast_to(base, (config.trials, *base.shape)).copy()
+    if not np.isfinite(block).all():
         raise ValueError(
             f"synthetic samples are not finite for noise_sigma={config.noise_sigma!r}, "
             f"response_amp={config.response_amp!r}, "
             f"response_freq_hz={config.response_freq_hz!r}, "
             f"response_decay_ms={config.response_decay_ms!r}"
         )
-    return TrialSet(
-        tuple(mats), config.sensors, config.pre_samples, config.post_samples
-    )
+    return TrialSet(tuple(block), config.pre_samples)
 
 
 def save_matrix(matrix, path) -> None:
@@ -354,18 +356,18 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fanout(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, split into at most ``workers`` contiguous chunks.
+def _fanout(fn, items) -> list:
+    """``[fn(item) for item in items]``, in at most ``_worker_count()`` contiguous chunks.
 
     The parent runs chunk 0 and a forked child runs each other chunk.
     Every child is read and reaped before anything is raised, and the
     first error in item order wins, so results and errors do not depend
-    on ``workers``. Fork, not spawn: a child starts with the parent's
+    on the worker count. Fork, not spawn: a child starts with the parent's
     trials and closures in memory, where a fresh interpreter would cost
     about as much as one chunk's work.
     """
     items = list(items)
-    count = min(workers, len(items))
+    count = min(_worker_count(), len(items))
     if count < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     cuts = [len(items) * k // count for k in range(count + 1)]
@@ -402,10 +404,7 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths) -> TrialSet
             raise DatasetError(f"{p}: expected {total} columns, found {m.shape[1]}")
         return m
 
-    mats = _fanout(load_checked, paths, _worker_count())
-    return TrialSet(
-        tuple(mats), manifest.sensors, manifest.pre_samples, manifest.post_samples
-    )
+    return TrialSet(tuple(_fanout(load_checked, paths)), manifest.pre_samples)
 
 
 def load_trials(manifest_path, data_paths) -> TrialSet:
@@ -431,7 +430,7 @@ def write_dataset(trials: TrialSet, directory) -> list[Path]:
     save_manifest(manifest, manifest_path)
     paths = [directory / trial_filename(i) for i in range(len(trials))]
     matrices = dict(zip(paths, trials.trials))
-    _fanout(lambda p: save_matrix(matrices[p], p), paths, _worker_count())
+    _fanout(lambda p: save_matrix(matrices[p], p), paths)
     return [manifest_path, *paths]
 
 
@@ -440,5 +439,6 @@ def load_dataset(directory) -> TrialSet:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     manifest = load_manifest(manifest_path)
-    paths = [directory / trial_filename(i) for i in range(manifest.trials)]
+    # stop at the first missing file: a manifest may declare far more trials than exist
+    paths = takewhile(Path.exists, (directory / trial_filename(i) for i in range(manifest.trials)))
     return _load_trial_files(manifest, manifest_path, paths)

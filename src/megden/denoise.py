@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import StructureError
 from .filters import Family, _check_param, _frozen, make_filter
-from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
+from .transform import dwt_analyze, dwt_approx, dwt_synthesize
 
 __all__ = [
     "DenoiseConfig",
@@ -45,26 +45,32 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class TrialSet:
-    """Stimulus-aligned recordings: one K x (pre+post) matrix per trial, in fT."""
+    """Stimulus-aligned recordings: one K x (pre+post) matrix per trial, all one shape, in fT."""
 
     trials: tuple[np.ndarray, ...]
-    sensors: int
     pre_samples: int
-    post_samples: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", tuple(_frozen(t) for t in self.trials))
-        if self.sensors < 1 or self.post_samples < 1 or self.pre_samples < 0:
-            raise ValueError(
-                f"need sensors >= 1, post >= 1, pre >= 0; got "
-                f"({self.sensors}, {self.pre_samples}, {self.post_samples})"
-            )
         if not self.trials:
             raise ValueError("need at least one trial")
-        shape = (self.sensors, self.pre_samples + self.post_samples)
+        shape = self.trials[0].shape
+        if len(shape) != 2 or shape[0] < 1 or not 0 <= self.pre_samples < shape[1]:
+            raise ValueError(
+                f"need a 2-D first trial with sensors >= 1 and 0 <= pre < columns; "
+                f"got shape {shape}, pre {self.pre_samples}"
+            )
         for i, t in enumerate(self.trials):
             if t.shape != shape:
                 raise StructureError(f"trial {i} has shape {t.shape}, expected {shape}")
+
+    @property
+    def sensors(self) -> int:
+        return self.trials[0].shape[0]
+
+    @property
+    def post_samples(self) -> int:
+        return self.trials[0].shape[1] - self.pre_samples
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -72,19 +78,21 @@ class TrialSet:
 
 @dataclass(frozen=True)
 class SensorEstimate:
-    """Per-sensor amplitude estimates with their provenance split."""
+    """Per-sensor amplitude estimates; the first ``wavelet_count`` are wavelet, the rest mean-filled."""
 
     values: np.ndarray
     wavelet_count: int
-    mean_filled_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
-        if self.wavelet_count + self.mean_filled_count != self.values.size:
+        if not 0 <= self.wavelet_count <= self.values.size:
             raise StructureError(
-                f"{self.wavelet_count} + {self.mean_filled_count} counts "
-                f"!= {self.values.size} sensors"
+                f"{self.wavelet_count} wavelet estimates for {self.values.size} sensors"
             )
+
+    @property
+    def mean_filled_count(self) -> int:
+        return self.values.size - self.wavelet_count
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,7 @@ def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> Senso
     values[:count] = approx[:count]
     if count < sensors:
         values[count:] = m[count:, pre:].mean(axis=1)
-    return SensorEstimate(values, count, sensors - count)
+    return SensorEstimate(values, count)
 
 
 def reconstruct_denoised(est: SensorEstimate, post: int) -> np.ndarray:
@@ -243,5 +251,4 @@ def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.n
     for mag, d in zip(mags, dec.details):
         mag -= lam
         np.copysign(np.maximum(mag, 0.0, out=mag), d, out=mag)
-    shrunk = Decomposition(dec.levels, dec.approx, tuple(mags), dec.lengths)
-    return dwt_synthesize(shrunk, pair).reshape(m.shape[0], post)
+    return dwt_synthesize(replace(dec, details=tuple(mags)), pair).reshape(m.shape[0], post)

@@ -9,7 +9,7 @@ to the normalizations the families are usually tabulated in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,17 +54,17 @@ class FilterPair:
 
     ``param`` is the adjusted-Haar zero count n (2n zeros sit between the
     two nonzero taps); it is 0 for the other families. The high-pass is
-    always the alternating flip g[k] = (-1)^k h[L-1-k] of the low-pass.
+    derived: the alternating flip g[k] = (-1)^k h[L-1-k] of the low-pass.
     """
 
     family: Family
     param: int
     lowpass: np.ndarray
-    highpass: np.ndarray
+    highpass: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lowpass", _frozen(self.lowpass))
-        object.__setattr__(self, "highpass", _frozen(self.highpass))
+        object.__setattr__(self, "highpass", _frozen(qmf_highpass(self.lowpass)))
 
     def __len__(self) -> int:
         return self.lowpass.size
@@ -73,11 +73,7 @@ class FilterPair:
         """Raise ValueError if any orthonormal-pair invariant is violated beyond 1e-12."""
         tol = 1e-12
         h, g = self.lowpass, self.highpass
-        n = h.size
-        if n == 0 or n % 2:
-            raise ValueError(f"filter length must be even and positive, got {n}")
-        if g.size != n:
-            raise ValueError("lowpass/highpass lengths differ")
+        n = h.size  # even and positive: qmf_highpass refused any other low-pass
         if abs(float(h.sum()) - _SQRT2) > tol:
             raise ValueError(f"sum(h) = {float(h.sum())!r}, expected sqrt(2)")
         if abs(float(h @ h) - 1.0) > tol:
@@ -88,8 +84,6 @@ class FilterPair:
             corr = float(h[: n - 2 * m] @ h[2 * m :])
             if abs(corr) > tol:
                 raise ValueError(f"double-shift correlation at offset {2 * m} is {corr!r}")
-        if not np.array_equal(g, qmf_highpass(h)):
-            raise ValueError("highpass is not the alternating flip of lowpass")
         if self.family is Family.ADJUSTED_HAAR:
             if n != 2 * self.param + 2 or np.count_nonzero(h[1:-1]):
                 raise ValueError("adjusted-Haar taps must be [1, 0 x 2n, 1]/sqrt(2)")
@@ -120,7 +114,7 @@ def make_daubechies4() -> FilterPair:
     """Four-tap Daubechies filter with two vanishing wavelet moments."""
     s3 = math.sqrt(3.0)
     h = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * _SQRT2)
-    return FilterPair(Family.DAUBECHIES4, 0, h, qmf_highpass(h))
+    return FilterPair(Family.DAUBECHIES4, 0, h)
 
 
 def make_coiflet1() -> FilterPair:
@@ -133,7 +127,7 @@ def make_coiflet1() -> FilterPair:
     h = np.array(
         [s7 - 3.0, 1.0 - s7, 14.0 - 2.0 * s7, 14.0 + 2.0 * s7, 5.0 + s7, 1.0 - s7]
     ) / (16.0 * _SQRT2)
-    return FilterPair(Family.COIFLET1, 0, h, qmf_highpass(h))
+    return FilterPair(Family.COIFLET1, 0, h)
 
 
 def make_adjusted_haar(n: int) -> FilterPair:
@@ -141,7 +135,7 @@ def make_adjusted_haar(n: int) -> FilterPair:
     _check_param(Family.ADJUSTED_HAAR, n)
     h = np.zeros(2 * n + 2)
     h[0] = h[-1] = 1.0 / _SQRT2
-    return FilterPair(Family.ADJUSTED_HAAR, n, h, qmf_highpass(h))
+    return FilterPair(Family.ADJUSTED_HAAR, n, h)
 
 
 def make_filter(family: Family, param: int = 0) -> FilterPair:

@@ -16,7 +16,7 @@ Y_LABEL = "Magnetic field (fT)"
 
 # Code points outside the XML 1.0 Char production: C0 controls other than
 # tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escape(text: str) -> str:

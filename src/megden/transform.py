@@ -60,39 +60,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Multi-level DWT output.
+    """Multi-level DWT output of a length-``length`` signal.
 
     ``details[0]`` is the finest level (level 1) and ``approx`` the
-    level-``levels`` approximation. ``lengths[j]`` records the signal
-    length fed into level j+1; synthesis uses it to undo the odd-length
-    extensions, so ``lengths[0]`` is the original signal length.
+    deepest approximation, so ``levels`` is ``len(details)``. ``lengths[j]``
+    is the signal length fed into level j+1, ceil(length / 2**j) as each
+    level ceil-halves; synthesis uses it to undo the odd-length extensions.
     """
 
-    levels: int
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
-    lengths: tuple[int, ...]
+    length: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "approx", _frozen(self.approx))
         object.__setattr__(self, "details", tuple(_frozen(d) for d in self.details))
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
-        if self.levels != len(self.details) or self.levels != len(self.lengths):
+        if not self.details or self.length < 1:
             raise StructureError(
-                f"levels = {self.levels} but {len(self.details)} detail bands "
-                f"and {len(self.lengths)} recorded lengths"
+                f"need at least one detail band and length >= 1; got "
+                f"{len(self.details)} bands, length {self.length}"
             )
+
+    @property
+    def levels(self) -> int:
+        return len(self.details)
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(-(-self.length // 2**j) for j in range(self.levels))
 
 
 def max_decomposition_depth(length: int) -> int:
     """Number of ceil-halvings until the approximation shrinks to one sample."""
     if length < 2:
         raise ValueError(f"signal must have at least 2 samples, got {length}")
-    depth, n = 0, length
-    while n > 1:
-        n = (n + 1) // 2
-        depth += 1
-    return depth
+    return (int(length) - 1).bit_length()
 
 
 def _live_taps(h: np.ndarray, g: np.ndarray | None = None) -> list[int]:
@@ -143,11 +145,9 @@ def _checked_signal(signal, levels: int) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
-    if x.size < 2:
-        raise ValueError(f"signal must have at least 2 samples, got {x.size}")
+    deepest = max_decomposition_depth(x.size)  # refuses fewer than 2 samples
     if levels < 1:
         raise ValueError(f"decomposition depth must be >= 1, got {levels}")
-    deepest = max_decomposition_depth(x.size)
     if levels > deepest:
         raise DepthError(
             f"depth {levels} is too deep for a length-{x.size} signal; "
@@ -158,16 +158,14 @@ def _checked_signal(signal, levels: int) -> np.ndarray:
 
 def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
     """Decompose ``signal`` into ``levels`` detail bands plus one approximation band."""
-    a = _checked_signal(signal, levels)
+    x = _checked_signal(signal, levels)
     h, g = filters.lowpass, filters.highpass
     taps = _live_taps(h, g)
-    lengths: list[int] = []
-    details: list[np.ndarray] = []
+    a, details = x, []
     for _ in range(levels):
-        lengths.append(a.size)
         a, d = _analyze_step(a, taps, h, g)
         details.append(d)
-    return Decomposition(levels, a, tuple(details), tuple(lengths))
+    return Decomposition(a, tuple(details), x.size)
 
 
 def dwt_approx(signal, filters: FilterPair, levels: int) -> np.ndarray:
@@ -185,19 +183,20 @@ def dwt_approx(signal, filters: FilterPair, levels: int) -> np.ndarray:
 def dwt_synthesize(dec: Decomposition, filters: FilterPair) -> np.ndarray:
     """Invert :func:`dwt_analyze` exactly, given the same filter pair."""
     h, g = filters.lowpass, filters.highpass
-    expected = (dec.lengths[-1] + 1) // 2
+    lengths = dec.lengths
+    expected = (lengths[-1] + 1) // 2
     if dec.approx.size != expected:
         raise StructureError(
             f"approximation band has {dec.approx.size} samples, expected {expected}"
         )
-    for j, (d, n) in enumerate(zip(dec.details, dec.lengths)):
+    for j, (d, n) in enumerate(zip(dec.details, lengths)):
         if d.size != (n + 1) // 2:
             raise StructureError(
                 f"detail band {j} has {d.size} samples, expected {(n + 1) // 2} "
-                f"for recorded length {n}"
+                f"for level input length {n}"
             )
     a = dec.approx
     taps = _live_taps(h, g)
     for j in range(dec.levels - 1, -1, -1):
-        a = _synthesize_step(a, dec.details[j], taps, h, g, dec.lengths[j])
+        a = _synthesize_step(a, dec.details[j], taps, h, g, lengths[j])
     return a

@@ -136,7 +136,7 @@ def test_criterion_4_adjusted_haar_bound(report):
 def test_criterion_5_constant_fixed_point(report):
     constant = -41.5
     trials = tuple(np.full((16, 40), constant) for _ in range(3))
-    ts = TrialSet(trials=trials, sensors=16, pre_samples=8, post_samples=32)
+    ts = TrialSet(trials=trials, pre_samples=8)
     worst = 0.0
     for family, param in THREE_FAMILIES:
         config = DenoiseConfig(family=family, param=param, scales=4)

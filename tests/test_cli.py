@@ -186,7 +186,7 @@ def test_snir_energy_overflow_is_one_error_line(tmp_path, capsys):
 def test_float_limit_dataset_is_one_error_line(tmp_path, capsys, signs, command):
     # every sample is finite, but the trial sum and the estimates leave float64
     trial = np.array(signs)[:, None] * np.full((6, 42), 1.5e308)
-    dataio.write_dataset(TrialSet((trial,) * 3, 6, 2, 40), tmp_path / "d")
+    dataio.write_dataset(TrialSet((trial,) * 3, 2), tmp_path / "d")
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
         warnings.simplefilter("error")

@@ -20,6 +20,7 @@ pytest INTERNALERROR (see CHANGES.md).
 import argparse
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -34,7 +35,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from megden.cli import build_parser, main
-from megden.dataio import load_dataset, load_manifest, load_matrix, write_dataset
+from megden.dataio import (
+    SyntheticConfig,
+    generate_synthetic,
+    load_dataset,
+    load_manifest,
+    load_matrix,
+    write_dataset,
+)
 from megden.denoise import TrialSet
 
 # Each strategy mixes in-range values, so every command also reaches exit 0,
@@ -79,7 +87,7 @@ def inputs(tmp_path_factory):
     assert main(["denoise", "--data", str(data), "--out", str(root / "den.csv"), "--scales", "2"]) == 0
     # finite samples whose trial sum and estimates overflow float64
     near_limit = root / "near_limit"
-    write_dataset(TrialSet((np.full((6, 42), 1.5e308),) * 3, 6, 2, 40), near_limit)
+    write_dataset(TrialSet((np.full((6, 42), 1.5e308),) * 3, 2), near_limit)
     return {
         "data": [data, root / "missing", root / "avg.csv", near_limit],
         "csv": [root / "avg.csv", root / "den.csv", data / "trial_0.csv",
@@ -120,6 +128,15 @@ def argv_for(draw, table, inputs, outdir):
         elif value is not None:
             argv.append(f"{action.option_strings[0]}={value}")
     return argv
+
+
+def check_exit(code: int, err: str, outdir: Path) -> None:
+    """Exit 1 is exactly one ``megden: error:`` line and leaves no 0-byte file."""
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1, err
+    assert lines[0].startswith("megden: error: ") and "Traceback" not in err
+    empty = [p for p in outdir.rglob("*") if p.is_file() and p.stat().st_size == 0]
+    assert empty == [], f"0-byte output left behind: {empty}"
 
 
 def check_outputs(command: str, outdir: Path, stdout: str) -> None:
@@ -165,8 +182,101 @@ def test_cli_exits_cleanly_on_any_drawn_argv(inputs, tmp_path, data, cpus):
                 assert err == ""
                 check_outputs(argv[0], outdir, stdout.getvalue())
         if code != 0:
-            lines = err.splitlines()
-            assert code == 1 and len(lines) == 1, err
-            assert lines[0].startswith("megden: error: ") and "Traceback" not in err
-            empty = [p for p in outdir.rglob("*") if p.is_file() and p.stat().st_size == 0]
-            assert empty == [], f"0-byte output left behind: {empty}"
+            check_exit(code, err, outdir)
+
+
+# Dataset mutations: one small dataset from write_dataset, changed the way a
+# damaged copy or a hand edit changes it, then read by every command that loads
+# a dataset. Structured edits (manifest keys, CSV cells, blank lines) come
+# first; byte flips and truncation then act on the edited bytes.
+MANIFEST_KEYS = ("sensors", "pre_samples", "post_samples", "trials", "unit", "sample_period_ms")
+MANIFEST_VALUES = (True, False, 2.5, 3.0, -1, 0, "3", "fT", 10**400)
+CELLS = ("1.797e308", "-1.797e308", "1.7976931348623157e308", "nan", "inf", "-inf", "1_0")
+DATASET_COMMANDS = (
+    ["average"],
+    ["denoise", "--scales", "2"],
+    ["denoise", "--scales", "2", "--threshold"],
+)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """The dataset's files as bytes: 6 sensors, 3 trials, 4 + 20 samples."""
+    root = tmp_path_factory.mktemp("small")
+    config = SyntheticConfig(seed=9, sensors=6, pre_samples=4, post_samples=20, trials=3)
+    write_dataset(generate_synthetic(config), root)
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@st.composite
+def mutated_dataset(draw, files: dict) -> dict:
+    files = dict(files)
+    pairs = [(k, json.dumps(v)) for k, v in json.loads(files["manifest.json"]).items()]
+    trial_names = sorted(n for n in files if n != "manifest.json")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["key", "cell", "blank", "flip", "truncate"]))
+        if kind == "key":
+            key = draw(st.sampled_from(MANIFEST_KEYS))
+            value = json.dumps(draw(st.sampled_from(MANIFEST_VALUES)))
+            edit = draw(st.sampled_from(["delete", "duplicate", "set"]))
+            if edit == "delete":
+                pairs = [(k, v) for k, v in pairs if k != key]
+            elif edit == "duplicate":
+                pairs.append((key, value))
+            else:
+                pairs = [(k, value if k == key else v) for k, v in pairs]
+        elif kind in ("cell", "blank"):
+            name = draw(st.sampled_from(trial_names))
+            rows = files[name].decode("ascii").split("\n")[:-1]
+            if kind == "blank":
+                rows.insert(draw(st.integers(0, len(rows))), "")
+            else:
+                r = draw(st.integers(0, len(rows) - 1))
+                cells = rows[r].split(",")
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELLS))
+                rows[r] = ",".join(cells)
+            files[name] = "".join(row + "\n" for row in rows).encode("ascii")
+    files["manifest.json"] = (
+        "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}\n"
+    ).encode("ascii")
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(files)))
+        raw = bytearray(files[name])
+        if raw and draw(st.booleans()):
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+        else:
+            del raw[draw(st.integers(0, len(raw))) :]
+        files[name] = bytes(raw)
+    return files
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), cpus=st.integers(1, 4))
+def test_cli_exits_cleanly_on_a_mutated_dataset(small_dataset, tmp_path, data, cpus):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        root = Path(scratch)
+        dataset = root / "data"
+        dataset.mkdir()
+        for name, raw in data.draw(mutated_dataset(small_dataset), label="files").items():
+            (dataset / name).write_bytes(raw)
+        for i, command in enumerate(DATASET_COMMANDS):
+            outdir = root / f"out{i}"
+            outdir.mkdir()
+            out = outdir / "out.csv"
+            argv = [*command, "--data", str(dataset), "--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (
+                warnings.catch_warnings(),
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True),
+                contextlib.redirect_stdout(stdout),
+                contextlib.redirect_stderr(stderr),
+            ):
+                warnings.simplefilter("error")
+                code = main(argv)
+                err = stderr.getvalue()
+                if code == 0:
+                    assert err == "", argv
+                    load_matrix(out)
+            if code != 0:
+                check_exit(code, err, outdir)

@@ -336,7 +336,7 @@ def test_dataset_round_trip(tmp_path):
 
 def test_dataset_without_pre_stimulus_samples_round_trips(tmp_path):
     rng = np.random.default_rng(11)
-    ts = TrialSet(tuple(rng.normal(size=(3, 5)) for _ in range(2)), 3, 0, 5)
+    ts = TrialSet(tuple(rng.normal(size=(3, 5)) for _ in range(2)), 0)
     write_dataset(ts, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
     assert (back.sensors, back.pre_samples, back.post_samples) == (3, 0, 5)
@@ -364,6 +364,20 @@ def test_load_trials_count_checks(tmp_path):
 
     save_matrix(np.zeros((3, 5)), tmp_path / trial_filename(1))
     with pytest.raises(DatasetError, match=r"trial_1\.csv.*6 columns"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("declared", [3, 10**19, 10**400])
+def test_manifest_declaring_more_trials_than_files_fails_at_once(tmp_path, declared):
+    # a declared count far beyond the files must fail at the first missing file,
+    # not list one path per declared trial until memory gives out
+    ts = generate_synthetic(
+        SyntheticConfig(seed=8, sensors=3, pre_samples=2, post_samples=4, trials=2)
+    )
+    write_dataset(ts, tmp_path)
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace('"trials": 2', f'"trials": {declared}'))
+    with pytest.raises(DatasetError, match=f"manifest declares {declared} trials, got 2 data files"):
         load_dataset(tmp_path)
 
 
@@ -548,7 +562,7 @@ def _assert_no_child_left():
         pass  # no children at all
 
 
-def test_worker_that_dies_gives_an_os_error(tmp_path):
+def test_worker_that_dies_gives_an_os_error(tmp_path, monkeypatch):
     parent = os.getpid()
 
     def job(path):
@@ -557,20 +571,23 @@ def test_worker_that_dies_gives_an_os_error(tmp_path):
         return path
 
     paths = [tmp_path / trial_filename(i) for i in range(4)]
+    monkeypatch.setattr(dataio, "_worker_count", lambda: 2)
     signal.alarm(30)  # a hang ends the run instead of blocking it
     try:
         with pytest.raises(OSError, match=rf"{trial_filename(2)}: worker exited with status 3"):
-            dataio._fanout(job, paths, workers=2)
+            dataio._fanout(job, paths)
     finally:
         signal.alarm(0)
     _assert_no_child_left()
-    assert dataio._fanout(job, paths, workers=1) == paths
+    monkeypatch.setattr(dataio, "_worker_count", lambda: 1)
+    assert dataio._fanout(job, paths) == paths
 
 
-def test_fanout_keeps_order_and_raises_the_first_error():
+def test_fanout_keeps_order_and_raises_the_first_error(monkeypatch):
     items = list(range(11))
     for workers in (1, 2, 3, 4, 20):
-        assert dataio._fanout(lambda x: x * x, items, workers) == [x * x for x in items]
+        monkeypatch.setattr(dataio, "_worker_count", lambda: workers)
+        assert dataio._fanout(lambda x: x * x, items) == [x * x for x in items]
 
     def job(x):
         if x in (2, 9):
@@ -578,7 +595,8 @@ def test_fanout_keeps_order_and_raises_the_first_error():
         return x
 
     for workers in (1, 2, 4):
+        monkeypatch.setattr(dataio, "_worker_count", lambda: workers)
         with pytest.raises(KeyError) as err:
-            dataio._fanout(job, items, workers)
+            dataio._fanout(job, items)
         assert err.value.args == (2,)
     _assert_no_child_left()

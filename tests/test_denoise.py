@@ -38,7 +38,7 @@ FAMILIES = [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0)] + [
 def small_trial_set(seed=0, trials=3, sensors=5, pre=4, post=8):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(size=(sensors, pre + post)) for _ in range(trials)]
-    return TrialSet(trials=tuple(mats), sensors=sensors, pre_samples=pre, post_samples=post)
+    return TrialSet(trials=tuple(mats), pre_samples=pre)
 
 
 def test_concatenate_layout():
@@ -129,7 +129,7 @@ def test_constant_trial_is_a_fixed_point(family, geometry, constant, mode, thres
     sensors, pre, post, count, scales = geometry
     trial = np.full((sensors, pre + post), constant)
     trial[:, :pre] = 3.0
-    ts = TrialSet((trial,) * count, sensors, pre, post)
+    ts = TrialSet((trial,) * count, pre)
     config = DenoiseConfig(family[0], family[1], scales, mode=mode, threshold=threshold)
     with warnings.catch_warnings():  # in the body: Hypothesis's failure report may warn
         warnings.simplefilter("error")
@@ -179,7 +179,7 @@ def test_single_trial_mean_is_identity():
 def test_opposite_trials_cancel():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(3, 10))
-    ts = TrialSet(trials=(m, -m), sensors=3, pre_samples=2, post_samples=8)
+    ts = TrialSet(trials=(m, -m), pre_samples=2)
     config = DenoiseConfig(family=Family.ADJUSTED_HAAR, param=0, scales=2)
     assert not np.any(denoise_multi(ts, config))
 
@@ -237,10 +237,7 @@ def test_average_trials_matches_numpy_mean():
 
 
 def test_average_trials_tiny_cases():
-    two = TrialSet(
-        trials=(np.array([[2.0]]), np.array([[4.0]])),
-        sensors=1, pre_samples=0, post_samples=1,
-    )
+    two = TrialSet(trials=(np.array([[2.0]]), np.array([[4.0]])), pre_samples=0)
     assert np.array_equal(average_trials(two), [[3.0]])
     same = small_trial_set(trials=1)
     assert np.array_equal(average_trials(same), same.trials[0])
@@ -261,7 +258,7 @@ def test_threshold_matches_reference_shrinkage():
     lam = sigma * np.sqrt(2.0 * np.log(vec.size))
     shrunk = tuple(np.where(np.abs(d) > lam, d - np.sign(d) * lam, 0.0) for d in dec.details)
     want = dwt_synthesize(
-        Decomposition(dec.levels, dec.approx, shrunk, dec.lengths), pair
+        Decomposition(dec.approx, shrunk, dec.length), pair
     ).reshape(4, post)
     assert got.shape == (4, post)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -282,10 +279,7 @@ def test_threshold_zeroes_pure_noise_details():
     assert max(np.max(np.abs(d)) for d in dec.details) < lam  # seed guard
 
     approx_only = dwt_synthesize(
-        Decomposition(
-            dec.levels, dec.approx, tuple(np.zeros_like(d) for d in dec.details),
-            dec.lengths,
-        ),
+        Decomposition(dec.approx, tuple(np.zeros_like(d) for d in dec.details), dec.length),
         pair,
     ).reshape(4, post)
     got = threshold_denoise(trial, config, pre, post)
@@ -337,7 +331,7 @@ def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, ba
         for where in (0, sensors * post // 2, sensors * post - 1):
             trials = rng.normal(size=(2, sensors, pre + post))
             trials[1, where // post, pre + where % post] = bad
-            ts = TrialSet(tuple(trials), sensors, pre, post)
+            ts = TrialSet(tuple(trials), pre)
             for scales in range(1, max_decomposition_depth(sensors * post) + 1):
                 config = DenoiseConfig(family[0], family[1], scales, threshold=True)
                 with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
@@ -364,7 +358,7 @@ def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, ba
 def test_each_exported_estimator_turns_overflow_into_a_structure_error(signs, estimator):
     # every sample is finite, but the estimates leave float64
     trial = np.array(signs)[:, None] * np.full((6, 42), 1.5e308)
-    ts = TrialSet((trial,) * 3, 6, 2, 40)
+    ts = TrialSet((trial,) * 3, 2)
     config = DenoiseConfig(Family.DAUBECHIES4, scales=2)
     with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
         warnings.simplefilter("error")
@@ -375,7 +369,7 @@ def test_each_exported_estimator_turns_overflow_into_a_structure_error(signs, es
 @pytest.mark.parametrize("threshold", [False, True], ids=["approx", "threshold"])
 def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(threshold):
     # each trial's estimate is finite; only the sum of the three leaves float64
-    ts = TrialSet((np.full((6, 42), 6e307),) * 3, 6, 2, 40)
+    ts = TrialSet((np.full((6, 42), 6e307),) * 3, 2)
     config = DenoiseConfig(Family.DAUBECHIES4, scales=2, threshold=threshold)
     with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
         warnings.simplefilter("error")
@@ -387,19 +381,22 @@ def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(thr
 
 def test_trialset_validation():
     good = np.zeros((2, 5))
-    with pytest.raises(StructureError):
-        TrialSet(trials=(good,), sensors=2, pre_samples=2, post_samples=4)  # 2+4 != 5
     with pytest.raises(ValueError):
-        TrialSet(trials=(), sensors=2, pre_samples=2, post_samples=3)
-    with pytest.raises(StructureError):
-        TrialSet(trials=(good, np.zeros((3, 5))), sensors=2, pre_samples=2, post_samples=3)
-    ts = TrialSet(trials=(good,), sensors=2, pre_samples=2, post_samples=3)
-    assert len(ts) == 1
+        TrialSet(trials=(), pre_samples=2)
+    for first, pre in ((good, 5), (good, -1), (np.zeros(5), 2), (np.zeros((0, 5)), 2)):
+        with pytest.raises(ValueError, match="^need a 2-D first trial"):
+            TrialSet(trials=(first,), pre_samples=pre)
+    with pytest.raises(StructureError, match=r"^trial 1 has shape \(3, 5\), expected \(2, 5\)$"):
+        TrialSet(trials=(good, np.zeros((3, 5))), pre_samples=2)
+    ts = TrialSet(trials=(good,), pre_samples=2)
+    assert (len(ts), ts.sensors, ts.pre_samples, ts.post_samples) == (1, 2, 2, 3)
 
 
 def test_sensor_estimate_validation():
-    with pytest.raises(StructureError):
-        SensorEstimate(values=np.zeros(4), wavelet_count=2, mean_filled_count=1)
+    for count in (5, -1):
+        with pytest.raises(StructureError):
+            SensorEstimate(np.zeros(3), count)
+    assert SensorEstimate(np.zeros(3), 1).mean_filled_count == 2
 
 
 def test_config_validation():

@@ -117,23 +117,21 @@ def test_make_filter_rejects_param_for_fixed_families():
 
 def test_validate_catches_tampering():
     good = make_daubechies4()
-    bad = FilterPair(
-        family=good.family,
-        param=good.param,
-        lowpass=good.lowpass + 1e-6,
-        highpass=good.highpass,
-    )
+    bad = FilterPair(family=good.family, param=good.param, lowpass=good.lowpass + 1e-6)
     with pytest.raises(ValueError):
         bad.validate()
-    # highpass that is not the alternating flip of the lowpass
-    bad2 = FilterPair(
-        family=good.family,
-        param=good.param,
-        lowpass=good.lowpass,
-        highpass=good.highpass[::-1].copy(),
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.family.value}{p.param}")
+def test_filter_pair_derives_its_highpass(pair):
+    with pytest.raises(TypeError):
+        FilterPair(pair.family, pair.param, pair.lowpass, pair.highpass)
+    assert pair.highpass.tobytes() == qmf_highpass(pair.lowpass).tobytes()
+    assert FilterPair(pair.family, pair.param, pair.lowpass).highpass.tobytes() == (
+        pair.highpass.tobytes()
     )
-    with pytest.raises(ValueError):
-        bad2.validate()
+    with pytest.raises(ValueError, match="even-length"):
+        FilterPair(pair.family, pair.param, pair.lowpass[:-1])
 
 
 def test_filter_arrays_are_read_only():
@@ -182,10 +180,10 @@ def test_freq_magnitude_envelope_bound(n, omega):
 @pytest.mark.parametrize(
     "shape,build",
     [
-        ((4,), lambda a, b: Decomposition(1, a, (b,), (8,))),
-        ((1, 4), lambda a, b: TrialSet((a, b), sensors=1, pre_samples=1, post_samples=3)),
-        ((4,), lambda a, b: FilterPair(Family.DAUBECHIES4, 0, a, b)),
-        ((4,), lambda a, b: SensorEstimate(a, wavelet_count=4, mean_filled_count=0)),
+        ((4,), lambda a, b: Decomposition(a, (b,), 8)),
+        ((1, 4), lambda a, b: TrialSet((a, b), pre_samples=1)),
+        ((4,), lambda a, b: FilterPair(Family.DAUBECHIES4, 0, a)),
+        ((4,), lambda a, b: SensorEstimate(a, wavelet_count=4)),
         ((4,), lambda a, b: SnirReport(a, 0.0)),
     ],
     ids=["Decomposition", "TrialSet", "FilterPair", "SensorEstimate", "SnirReport"],

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from xml.dom import minidom
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import render_traces_reference
 
-from megden.svgplot import PlotSpec, render_traces
+from megden.svgplot import _NOT_XML_CHAR, PlotSpec, render_traces
 
 
 def test_one_polyline_per_row():
@@ -44,6 +45,13 @@ def test_any_xml_title_round_trips(title):
 def test_code_points_outside_xml_are_named(bad):
     with pytest.raises(ValueError, match=f"U\\+{ord(bad):04X}, which XML 1.0 does not allow"):
         render_traces(np.zeros((1, 4)), PlotSpec(title=f"a{bad}b"))
+
+
+def test_forbidden_set_is_the_complement_of_the_xml_char_production():
+    # the XML 1.0 Char production, negated: the oracle for the named forbidden set
+    oracle = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every = "".join(map(chr, range(0x110000)))
+    assert _NOT_XML_CHAR.findall(every) == oracle.findall(every)
 
 
 def test_flat_data_still_renders():

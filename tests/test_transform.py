@@ -114,7 +114,7 @@ def test_kernels_match_loop_references_bit_for_bit(length, which, draw):
     # themselves, so signed zeros and subnormals reach its sums directly
     bands = [np.resize(x, d.size) for d in details]
     top = np.resize(x[::-1], approx.size)
-    raw = Decomposition(levels, top, tuple(bands), tuple(lengths))
+    raw = Decomposition(top, tuple(bands), length)
     want = dwt_synthesize_reference(top, bands, lengths, pair)
     assert dwt_synthesize(raw, pair).tobytes() == want.tobytes()
 
@@ -148,7 +148,7 @@ def test_synthesis_of_zero_detail_bands_matches_the_reference(pair, kind):
         a[rng.random(size) < 0.3] = -0.0
         a[rng.random(size) < 0.3] = 0.0
         d = _zero_band(kind, size, rng)
-        dec = Decomposition(1, a, (d,), (out_len,))
+        dec = Decomposition(a, (d,), out_len)
         want = synthesize_step_reference(a, d, h, g, out_len)
         assert dwt_synthesize(dec, pair).tobytes() == want.tobytes()
         # two levels: a zero band under a non-zero one, and the reverse
@@ -160,7 +160,7 @@ def test_synthesis_of_zero_detail_bands_matches_the_reference(pair, kind):
             over = (rng.normal(size=size), _zero_band(kind, inner, rng))
             for bands in (under, over):
                 want = dwt_synthesize_reference(top, list(bands), list(lengths), pair)
-                got = dwt_synthesize(Decomposition(2, top, bands, lengths), pair)
+                got = dwt_synthesize(Decomposition(top, bands, out_len), pair)
                 assert got.tobytes() == want.tobytes()
 
 
@@ -186,12 +186,7 @@ def test_haar_known_coefficient_values():
 def test_synthesize_constant_case_directly():
     haar = make_adjusted_haar(0)
     root2 = np.sqrt(2.0)
-    dec = Decomposition(
-        levels=1,
-        approx=np.array([root2, root2]),
-        details=(np.zeros(2),),
-        lengths=(4,),
-    )
+    dec = Decomposition(approx=np.array([root2, root2]), details=(np.zeros(2),), length=4)
     assert np.allclose(dwt_synthesize(dec, haar), [1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -230,10 +225,28 @@ def test_details_ordering_finest_first():
 
 
 @pytest.mark.parametrize(
-    "length,want", [(2, 1), (3, 2), (16, 4), (17, 5), (241, 8), (1024, 10), (66034, 17)]
+    "length,want",
+    [(2, 1), (3, 2), (16, 4), (17, 5), (241, 8), (1024, 10), (66034, 17), (np.int64(241), 8)],
 )
 def test_max_decomposition_depth(length, want):
     assert max_decomposition_depth(length) == want
+
+
+def _depth_by_halving(length: int) -> int:
+    depth = 0
+    while length > 1:
+        length = (length + 1) // 2
+        depth += 1
+    return depth
+
+
+def test_max_decomposition_depth_matches_ceil_halving():
+    big = (2**64 - 1, 2**64, 2**64 + 1, 10**30)
+    for length in (*range(2, 200_001), *big):
+        assert max_decomposition_depth(length) == _depth_by_halving(length), length
+    for length in (1, 0, -5):
+        with pytest.raises(ValueError):
+            max_decomposition_depth(length)
 
 
 @pytest.mark.parametrize("analyze", [dwt_analyze, dwt_approx])
@@ -273,32 +286,48 @@ def test_a_non_finite_sample_leaves_the_approximation_non_finite(pair, bad):
 def test_synthesize_rejects_inconsistent_structure():
     pair = make_daubechies4()
     dec = dwt_analyze(np.arange(16.0), pair, levels=2)
-    wrong_approx = Decomposition(
-        levels=dec.levels,
-        approx=np.zeros(dec.approx.size + 1),
-        details=dec.details,
-        lengths=dec.lengths,
-    )
+    wrong_approx = Decomposition(np.zeros(dec.approx.size + 1), dec.details, dec.length)
     with pytest.raises(StructureError):
         dwt_synthesize(wrong_approx, pair)
-    wrong_detail = Decomposition(
-        levels=dec.levels,
-        approx=dec.approx,
-        details=(dec.details[0][:-1], dec.details[1]),
-        lengths=dec.lengths,
-    )
+    wrong_detail = Decomposition(dec.approx, (dec.details[0][:-1], dec.details[1]), dec.length)
     with pytest.raises(StructureError):
         dwt_synthesize(wrong_detail, pair)
 
 
-def test_decomposition_validates_level_count():
+def test_synthesize_checks_bands_against_the_derived_lengths():
+    # length 15 derives lengths (15, 8): these bands rebuild exactly 15 samples, and
+    # a band of another size is a StructureError, not a numpy broadcast error
+    for fill in (np.zeros, np.ones):
+        dec = Decomposition(fill(4), (fill(8), fill(4)), 15)
+        assert dec.lengths == (15, 8)
+        assert dwt_synthesize(dec, make_daubechies4()).size == 15
+        bad = Decomposition(fill(4), (fill(8), fill(3)), 15)
+        with pytest.raises(StructureError, match="^detail band 1 has 3 samples, expected 4"):
+            dwt_synthesize(bad, make_daubechies4())
+
+
+def test_decomposition_needs_a_detail_band_and_a_length():
     with pytest.raises(StructureError):
-        Decomposition(
-            levels=2,
-            approx=np.zeros(4),
-            details=(np.zeros(8),),
-            lengths=(16, 8),
-        )
+        Decomposition(np.zeros(4), (), 16)
+    with pytest.raises(StructureError):
+        Decomposition(np.zeros(0), (np.zeros(0),), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=5000),
+    levels=st.integers(min_value=1, max_value=16),
+    which=st.integers(min_value=0, max_value=len(ALL_FAMILIES) - 1),
+)
+def test_synthesis_of_bands_sized_by_lengths_returns_length_samples(length, levels, which):
+    lengths = [length]
+    for _ in range(levels - 1):
+        lengths.append((lengths[-1] + 1) // 2)
+    rng = np.random.default_rng(length)
+    bands = tuple(rng.normal(size=(n + 1) // 2) for n in lengths)
+    dec = Decomposition(rng.normal(size=bands[-1].size), bands, length)
+    assert dec.lengths == tuple(lengths)
+    assert dwt_synthesize(dec, ALL_FAMILIES[which]).shape == (length,)
 
 
 def test_filter_longer_than_signal_still_inverts():
