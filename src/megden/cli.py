@@ -82,9 +82,9 @@ def cmd_denoise(args) -> int:
 
 def cmd_snir(args) -> int:
     report = metrics.snir(dataio.load_matrix(args.mean), dataio.load_matrix(args.calc))
-    print(f"{report.snir_db:.2f} dB")
-    if args.ratios:
+    if args.ratios:  # written first, so a failed write leaves stdout empty
         dataio.save_matrix(report.per_sensor_ratio[:, None], args.ratios)
+    print(f"{report.snir_db:.2f} dB")
     return 0
 
 

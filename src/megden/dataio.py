@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+_REFUSED = "_\x1c\x1d\x1e\x1f"  # digit grouping, and separators that loadtxt strips as space
 
 
 def _check_counts(config) -> None:
@@ -201,55 +202,43 @@ def _read_ascii(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# Separators that loadtxt strips around a value and float() rejects.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-
-def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
-    """Line-by-line parse with ``float`` semantics; the source of every file:line message."""
-    rows: list[list[float]] = []
-    width = -1
+def _line_error(path: Path, lines: list[str]) -> DatasetError:
+    """The error for the first line that is not one row of the matrix; returns no data."""
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            raise DatasetError(f"{path}:{lineno}: blank line in data file")
+        if any(c in line for c in _REFUSED):
+            return DatasetError(f"{path}:{lineno}: malformed row")
+        if not line.strip():
+            return DatasetError(f"{path}:{lineno}: blank line in data file")
         try:
-            row = [float(tok) for tok in line.split(",")]
+            np.loadtxt([line], delimiter=",", comments=None)
         except ValueError:
-            raise DatasetError(f"{path}:{lineno}: malformed row") from None
-        if width < 0:
-            width = len(row)
-        elif len(row) != width:
-            raise DatasetError(
-                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
-        raise DatasetError(f"{path}:1: empty data file")
-    return np.array(rows, dtype=np.float64)
+            return DatasetError(f"{path}:{lineno}: malformed row")
+        if line.count(",") != lines[0].count(","):
+            width, cells = lines[0].count(",") + 1, line.count(",") + 1
+            return DatasetError(f"{path}:{lineno}: expected {width} columns, got {cells}")
+    return DatasetError(f"{path}:1: empty data file")
 
 
 def load_matrix(path) -> np.ndarray:
-    """Parse a CSV matrix of finite values.
+    """Parse a CSV matrix of finite values with one ``np.loadtxt`` call.
 
-    Errors name the file and 1-based line number, plus the 1-based
-    column for a non-finite value.
+    A cell is what ``float()`` reads minus digit-grouping ``_``; no line
+    may hold an ASCII separator (0x1c-0x1f). For a file that the call
+    refuses, a line pass only names the first bad line. Errors name the
+    file and 1-based line, plus the 1-based column of a non-finite value.
     """
     path = Path(path)
     text = _read_ascii(path)
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    m = None
-    # loadtxt skips empty lines (and warns when no other line is left), so
-    # those files, and any loadtxt rejects, go to the line parser.
-    if lines and all(lines) and not any(c in text for c in _LOADTXT_ONLY_SPACE):
-        try:
-            m = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if m is None or m.shape[0] != len(lines):  # each line must be one row
-        m = _parse_lines(path, lines)
+    # loadtxt would skip empty lines (and warn when no other line is left)
+    if not (lines and all(lines)) or any(c in text for c in _REFUSED):
+        raise _line_error(path, lines)
+    try:
+        m = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        raise _line_error(path, lines) from None
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         row, col = bad[0]
@@ -280,13 +269,23 @@ def _manifest_float(raw: dict, key: str) -> float:
         raise ValueError(f"{key} must be finite and positive, got an integer past 1e308") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys each appear once; ``json`` would keep a repeat's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(_read_ascii(path))
+        raw = json.loads(_read_ascii(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, or deep nesting
+    except (ValueError, RecursionError) as exc:  # a repeated key, huge integer, deep nesting
         raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")

@@ -42,12 +42,18 @@ def save_matrix_reference(matrix, path) -> None:
 
 
 def load_matrix_reference(path) -> np.ndarray:
-    """``float()`` per token, line by line; accepts non-finite values."""
+    """``float()`` per token, line by line; accepts non-finite values.
+
+    A line holding digit-grouping ``_`` or an ASCII separator (0x1c-0x1f,
+    which ``strip()`` would take as whitespace) is malformed.
+    """
     path = Path(path)
     rows: list[list[float]] = []
     width = -1
     with open(path, encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
+            if any(c in line for c in "_\x1c\x1d\x1e\x1f"):
+                raise DatasetError(f"{path}:{lineno}: malformed row")
             line = line.strip()
             if not line:
                 raise DatasetError(f"{path}:{lineno}: blank line in data file")

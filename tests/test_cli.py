@@ -163,6 +163,53 @@ def test_non_finite_input_exits_with_its_position(dataset, tmp_path, capsys, com
     assert captured.err == f"megden: error: {bad}:3:5: non-finite value\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["average"], ["denoise", "--scales", "2"], ["denoise", "--threshold", "--scales", "2"]],
+    ids=["average", "denoise", "denoise-threshold"],
+)
+def test_digit_grouping_cell_is_a_malformed_row(dataset, tmp_path, capsys, command):
+    # float() would read 1_0 as 10.0; the CSV cell grammar has no digit grouping
+    trial = dataset / "trial_1.csv"
+    lines = trial.read_text().splitlines()
+    lines[3] = "1_0," + lines[3].split(",", 1)[1]
+    trial.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run_main(*command, "--data", str(dataset), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"megden: error: {trial}:4: malformed row\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeat", ["1", "2"], ids=["different", "same"])
+def test_repeated_manifest_key_is_an_error(dataset, tmp_path, capsys, repeat):
+    # json keeps a repeated key's last value, which would average 1 of the 2 trials
+    manifest = dataset / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text.replace('"trials": 2', f'"trials": 2,\n  "trials": {repeat}'))
+    out = tmp_path / "avg.csv"
+    capsys.readouterr()
+    assert run_main("average", "--data", str(dataset), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"megden: error: {manifest}: invalid JSON: repeated key 'trials'\n"
+    assert not out.exists()
+
+
+def test_snir_ratios_write_failure_leaves_stdout_empty(dataset, tmp_path, capsys):
+    avg = tmp_path / "avg.csv"
+    run_main("average", "--data", str(dataset), "--out", str(avg))
+    capsys.readouterr()
+    ratios = tmp_path / "missing" / "r.csv"
+    assert run_main("snir", "--mean", str(avg), "--calc", str(avg), "--ratios", str(ratios)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("megden: error:") and str(ratios) in err[0]
+
+
 def test_snir_energy_overflow_is_one_error_line(tmp_path, capsys):
     save_matrix(np.full((2, 3), 1e200), tmp_path / "a.csv")
     save_matrix(np.full((2, 3), -1e200), tmp_path / "b.csv")

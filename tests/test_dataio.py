@@ -207,18 +207,18 @@ def test_load_matrix_error_positions(tmp_path):
     with pytest.raises(DatasetError, match=r"bad\.csv:3: malformed"):
         load_matrix(p)
 
-    p.write_text("1_0,2\n3,4\n")  # float() accepts digit grouping; loadtxt does not
-    assert np.array_equal(load_matrix(p), [[10.0, 2.0], [3.0, 4.0]])
-    p.write_text("1,\x1f2\n")  # loadtxt strips the unit separator; float() does not
-    with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed"):
-        load_matrix(p)
+    # float()'s digit grouping, and separators that loadtxt strips as whitespace
+    for bad in ("1_0,2\n3,4\n", "1,\x1f2\n", "1,2\x1c\n"):
+        p.write_text(bad)
+        with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed row"):
+            load_matrix(p)
 
     for bad in ("nan", "inf", "-inf", "1e400"):
         p.write_text(f"1,2,3\n4,5,{bad}\n")
         with pytest.raises(DatasetError, match=r"bad\.csv:2:3: non-finite value"):
             load_matrix(p)
-    p.write_text("1_0,nan\n")  # non-finite behind the line-parser path
-    with pytest.raises(DatasetError, match=r"bad\.csv:1:2: non-finite value"):
+    p.write_text("1_0,nan\n")  # the malformed cell is named before the non-finite one
+    with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed row"):
         load_matrix(p)
 
     p.write_bytes(b"\xef\xbb\xbf1,2\n")  # UTF-8 byte-order mark
@@ -252,14 +252,14 @@ def test_csv_fast_paths_match_the_reference(tmp_path_factory, m):
     save_matrix(m, fast)
     save_matrix_reference(m, ref)
     assert fast.read_bytes() == ref.read_bytes()
-    with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("fallback")):
-        back = load_matrix(fast)  # well-formed input must take the loadtxt path
+    with mock.patch.object(dataio, "_line_error", side_effect=AssertionError("line pass")):
+        back = load_matrix(fast)  # well-formed input is parsed by the one loadtxt call
     assert back.dtype == np.float64 and back.shape == m.shape
     assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
     assert np.array_equal(back.view(np.uint64), load_matrix_reference(fast).view(np.uint64))
 
 
-csv_text = st.text(alphabet="0123456789.,-+e_ainf \t\n\r\x0c\x1c\x1f", max_size=40)
+csv_text = st.text(alphabet="0123456789.,-+e_ainf \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,6 +320,12 @@ def test_load_manifest_errors(tmp_path):
     p.write_bytes(b"\xef\xbb\xbf" + json.dumps(good).encode())
     with pytest.raises(DatasetError, match=r"m\.json:1: non-ASCII byte 0xef"):
         load_manifest(p)
+
+    # a repeated key is an error, also in a nested object and with the same value
+    for text in ('{"trials": 3, "trials": 3}', '{"unit": {"a": 1, "a": 2}}'):
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=r"m\.json: invalid JSON: repeated key '(trials|a)'"):
+            load_manifest(p)
 
 
 def test_dataset_round_trip(tmp_path):
