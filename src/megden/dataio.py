@@ -22,7 +22,7 @@ import json
 import math
 import os
 import pickle
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -289,6 +289,10 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")
+    known = {f.name for f in fields(Manifest)}
+    unknown = next((key for key in raw if key not in known), None)
+    if unknown is not None:  # a misspelled key would otherwise pass unread
+        raise DatasetError(f"{path}: invalid manifest: unknown key {unknown!r}")
     try:
         return Manifest(
             sensors=_manifest_value(raw, "sensors", int, "an integer"),

@@ -173,20 +173,24 @@ def denoise_trial(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarr
     return reconstruct_denoised(estimate_sensors(trial, config, pre, post), post)
 
 
-def _estimator(config: DenoiseConfig):
-    """The per-trial function ``config`` selects; both take (trial, config, pre, post)."""
-    return threshold_denoise if config.threshold else denoise_trial
-
-
 @_overflow_is_an_error("denoised estimate")
 def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
-    """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order."""
+    """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order.
+
+    The approximation estimator's output is constant along each sensor's
+    window, so its mean sums the K per-trial sensor estimates and tiles
+    them once; the threshold estimator's sums its K x post outputs.
+    """
     pre, post = trials.pre_samples, trials.post_samples
-    estimator = _estimator(config)
-    acc = np.zeros((trials.sensors, post))
+    if config.threshold:
+        acc = np.zeros((trials.sensors, post))
+        for t in trials.trials:
+            acc += threshold_denoise(t, config, pre, post)
+        return acc / len(trials)
+    total = np.zeros(trials.sensors)
     for t in trials.trials:
-        acc += estimator(t, config, pre, post)
-    return acc / len(trials)
+        total += estimate_sensors(t, config, pre, post).values
+    return np.tile((total / len(trials))[:, None], (1, post))
 
 
 def select_trial(trials: TrialSet, index: int) -> np.ndarray:
@@ -205,7 +209,8 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
     that overflows the float64 range is a ``StructureError``.
     """
     if config.mode is Mode.SINGLE_TRIAL:
-        return _estimator(config)(
+        estimator = threshold_denoise if config.threshold else denoise_trial
+        return estimator(
             select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
         )
     return denoise_multi(trials, config)

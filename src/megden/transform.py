@@ -22,6 +22,13 @@ in ascending k. That order keeps the outputs byte-identical: reordering
 the taps, starting from the first product (0.0 + -0.0 is 0.0), or a dot
 product or convolution routine changes the last bits.
 
+Each analysis phase is built once: one strided copy of x, the repeated
+last sample that ends phase 1 of an odd-length x, and the periodic wrap
+copied from the phase's own start. Each tap's product goes into a buffer
+that the level reuses, and synthesis reuses its h[k]*a and g[k]*d
+buffers across taps. The operations and their order are those above, so
+this changes no output bit; it only saves allocation and copying.
+
 Both kernels skip every tap k where h[k] and g[k] are zero (4 of the
 adjusted Haar ahaar2's 6 taps, 16 of ahaar8's 18). For finite input this
 leaves every output bit unchanged: each sum starts at +0.0, a float sum
@@ -107,19 +114,27 @@ def _analyze_step(
     x: np.ndarray, taps: list[int], h: np.ndarray, g: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One level over ``taps``: the approximation, and the details unless ``g`` is None."""
-    if x.size % 2:
-        x = np.append(x, x[-1])  # repeat-last extension before the periodic wrap
-    m = x.size // 2
-    # np.resize tiles cyclically, so phases[p][j] == x[(2j + p) mod 2m] for every j;
-    # each is a contiguous copy, so every tap reads a plain slice.
-    phases = [np.resize(x[p::2], m + (h.size - 1) // 2) for p in (0, 1)]
+    m, wrap = (x.size + 1) // 2, (h.size - 1) // 2
+    phases = []
+    for p in (0, 1):
+        # phase[j] == x[(2j + p) mod 2m] after the repeat-last extension of an odd x
+        phase = np.empty(m + wrap)
+        head = x[p::2]
+        phase[: head.size] = head
+        if head.size < m:
+            phase[m - 1] = x[-1]
+        for j in range(m, m + wrap, m):  # the periodic wrap; it spans several periods if wrap > m
+            end = min(j + m, m + wrap)
+            phase[j:end] = phase[: end - j]
+        phases.append(phase)
     a = np.zeros(m)
     d = None if g is None else np.zeros(m)
+    product = np.empty(m)
     for k in taps:
         window = phases[k % 2][k // 2 : k // 2 + m]
-        a += h[k] * window
+        a += np.multiply(window, h[k], out=product)
         if d is not None:
-            d += g[k] * window
+            d += np.multiply(window, g[k], out=product)
     return a, d
 
 
@@ -129,9 +144,13 @@ def _synthesize_step(
     m = a.size
     phases = (np.zeros(m), np.zeros(m))  # y[2j] and y[2j + 1]
     has_details = d.any()
+    v = np.empty(m)  # h[k]*a + g[k]*d, with g[k]*d in gd
+    gd = np.empty(m) if has_details else None
     for k in taps:
         # tap k lands on y[(2i + k) mod 2m]: phase k % 2, rotated by k // 2
-        v = h[k] * a + g[k] * d if has_details else h[k] * a
+        np.multiply(a, h[k], out=v)
+        if gd is not None:
+            v += np.multiply(d, g[k], out=gd)
         phase, s = phases[k % 2], (k // 2) % m
         phase[s:] += v[: m - s]
         phase[:s] += v[m - s :]

@@ -1,4 +1,4 @@
-"""Straight-loop reference implementations of megden's text I/O and threshold mean.
+"""Straight-loop reference implementations of megden's text I/O, kernels and trial means.
 
 The library writes CSV with one format string per row, parses it with
 ``np.loadtxt`` and formats SVG points with one format string per
@@ -7,9 +7,11 @@ tests hold those fast paths to, byte for byte and bit for bit. The
 threshold mean is the per-trial loop that ``denoise --threshold`` ran
 before it went through ``denoise_dataset``, over the threshold estimator
 as it was written before it took its median from a partition and its
-shrink from ``copysign``. The DWT references read each tap through a
-stride-2 window and scatter it through an index array; the library's
-phase-slice kernels must match them bit for bit.
+shrink from ``copysign``. The approximation mean is the loop that
+``denoise_multi`` ran before it summed per-sensor estimates: it tiles
+each trial's output and accumulates K x post values. The DWT references
+read each tap through a stride-2 window and scatter it through an index
+array; the library's phase-slice kernels must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from megden.denoise import (
     Mode,
     TrialSet,
     concatenate_post_stimulus,
+    denoise_trial,
     select_trial,
 )
 from megden.errors import DatasetError
@@ -141,6 +144,15 @@ def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int
         out = threshold_denoise_reference(t, config, trials.pre_samples, trials.post_samples)
         acc = out if acc is None else acc + out
     return acc / len(picked)
+
+
+def approx_mean_reference(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
+    """Trial-order mean of the tiled per-trial outputs, accumulated K x post from zeros."""
+    pre, post = trials.pre_samples, trials.post_samples
+    acc = np.zeros((trials.sensors, post))
+    for t in trials.trials:
+        acc += denoise_trial(t, config, pre, post)
+    return acc / len(trials)
 
 
 def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:

@@ -183,6 +183,25 @@ def test_digit_grouping_cell_is_a_malformed_row(dataset, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["average"], ["denoise", "--scales", "2"], ["denoise", "--threshold", "--scales", "2"]],
+    ids=["average", "denoise", "denoise-threshold"],
+)
+def test_unknown_manifest_key_is_an_error(dataset, tmp_path, capsys, command):
+    # a misspelled key would otherwise be ignored and the dataset loaded as if it were absent
+    manifest = dataset / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text.replace('"trials": 2', '"trials": 2,\n  "trails": 1'))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run_main(*command, "--data", str(dataset), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"megden: error: {manifest}: invalid manifest: unknown key 'trails'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("repeat", ["1", "2"], ids=["different", "same"])
 def test_repeated_manifest_key_is_an_error(dataset, tmp_path, capsys, repeat):
     # json keeps a repeated key's last value, which would average 1 of the 2 trials

@@ -328,6 +328,25 @@ def test_load_manifest_errors(tmp_path):
             load_manifest(p)
 
 
+def test_unknown_manifest_key_is_an_error(tmp_path):
+    # a misspelled key next to the six real ones must not load silently;
+    # the first unknown key in file order is the one named
+    p = tmp_path / "m.json"
+    good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
+            "unit": "fT", "sample_period_ms": 1.0}
+    for extra in ({"trails": 1}, {"sampel_period_ms": 9, "sensor": 7}, {"Trials": 3}):
+        p.write_text(json.dumps({**good, **extra}))
+        first = next(iter(extra))
+        with pytest.raises(DatasetError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: invalid manifest: unknown key {first!r}"
+    # also when the real key is missing: the typo is named, not the absence
+    del good["trials"]
+    p.write_text(json.dumps({"trails": 3, **good}))
+    with pytest.raises(DatasetError, match=r"m\.json: invalid manifest: unknown key 'trails'"):
+        load_manifest(p)
+
+
 def test_dataset_round_trip(tmp_path):
     ts = generate_synthetic(
         SyntheticConfig(seed=8, sensors=3, pre_samples=2, post_samples=4, trials=2)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import threshold_denoise_reference, threshold_mean_reference
+from oracles import approx_mean_reference, threshold_denoise_reference, threshold_mean_reference
 
 from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.denoise import (
@@ -213,7 +213,7 @@ def test_multi_is_mean_of_single_trial_outputs():
         denoise_trial(t, config, ts.pre_samples, ts.post_samples) for t in ts.trials
     ) / len(ts)
     got = denoise_multi(ts, config)
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mode_dispatch():
@@ -318,6 +318,28 @@ def test_threshold_denoise_matches_the_reference_bit_for_bit(family, finest, pai
         got = threshold_denoise(trial, config, pre, post)
         want = threshold_denoise_reference(trial, config, pre, post)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    count=st.integers(1, 4),
+    sensors=st.integers(1, 8),
+    pre=st.integers(0, 3),
+    post=st.integers(1, 6),
+    draw=st.data(),
+)
+def test_approx_mean_matches_the_reference_bit_for_bit(family, count, sensors, pre, post, draw):
+    # the deepest level leaves one coefficient, so every geometry with two or
+    # more sensors also runs the mean-fill of the sensors beyond it
+    n = sensors * post
+    assume(n >= 2)
+    mats = draw.draw(arrays(np.float64, (count, sensors, pre + post), elements=EDGE_FLOATS))
+    ts = TrialSet(tuple(mats), pre)
+    for scales in range(1, max_decomposition_depth(n) + 1):
+        config = DenoiseConfig(family[0], family[1], scales)
+        want = approx_mean_reference(ts, config)
+        assert denoise_multi(ts, config).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
