@@ -176,7 +176,7 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
             f"response_freq_hz={config.response_freq_hz!r}, "
             f"response_decay_ms={config.response_decay_ms!r}"
         )
-    return TrialSet(tuple(block), config.pre_samples)
+    return TrialSet(block, config.pre_samples)
 
 
 def save_matrix(matrix, path) -> None:
@@ -407,7 +407,7 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths) -> TrialSet
             raise DatasetError(f"{p}: expected {total} columns, found {m.shape[1]}")
         return m
 
-    return TrialSet(tuple(_fanout(load_checked, paths)), manifest.pre_samples)
+    return TrialSet(_fanout(load_checked, paths), manifest.pre_samples)
 
 
 def load_trials(manifest_path, data_paths) -> TrialSet:

@@ -33,7 +33,6 @@ __all__ = [
     "denoise_trial",
     "estimate_sensors",
     "reconstruct_denoised",
-    "select_trial",
     "threshold_denoise",
 ]
 
@@ -45,35 +44,35 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class TrialSet:
-    """Stimulus-aligned recordings: one K x (pre+post) matrix per trial, all one shape, in fT."""
+    """Stimulus-aligned recordings in fT: one read-only T x K x (pre+post) block.
 
-    trials: tuple[np.ndarray, ...]
+    ``trials`` may be any T x K x (pre+post) array or a sequence of T
+    K x (pre+post) matrices; it is copied once into a read-only float64
+    block, so trials of mixed shapes are a ``ValueError``.
+    """
+
+    trials: np.ndarray
     pre_samples: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", tuple(_frozen(t) for t in self.trials))
-        if not self.trials:
-            raise ValueError("need at least one trial")
-        shape = self.trials[0].shape
-        if len(shape) != 2 or shape[0] < 1 or not 0 <= self.pre_samples < shape[1]:
+        object.__setattr__(self, "trials", _frozen(self.trials))
+        shape = self.trials.shape
+        if len(shape) != 3 or min(shape[:2]) < 1 or not 0 <= self.pre_samples < shape[2]:
             raise ValueError(
-                f"need a 2-D first trial with sensors >= 1 and 0 <= pre < columns; "
+                f"need a T x K x (pre+post) block with T >= 1, K >= 1 and 0 <= pre < columns; "
                 f"got shape {shape}, pre {self.pre_samples}"
             )
-        for i, t in enumerate(self.trials):
-            if t.shape != shape:
-                raise StructureError(f"trial {i} has shape {t.shape}, expected {shape}")
 
     @property
     def sensors(self) -> int:
-        return self.trials[0].shape[0]
+        return self.trials.shape[1]
 
     @property
     def post_samples(self) -> int:
-        return self.trials[0].shape[1] - self.pre_samples
+        return self.trials.shape[2] - self.pre_samples
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return self.trials.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,6 @@ def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
     return np.tile((total / len(trials))[:, None], (1, post))
 
 
-def select_trial(trials: TrialSet, index: int) -> np.ndarray:
-    """The trial at ``index``; negative or too-large indices are an error, not a wrap."""
-    if not 0 <= index < len(trials):
-        raise ValueError(f"trial index {index} out of range 0..{len(trials) - 1}")
-    return trials.trials[index]
-
-
 def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 0) -> np.ndarray:
     """Denoise ``trials`` with ``config``'s estimator: the one entry point for both.
 
@@ -209,9 +201,11 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
     that overflows the float64 range is a ``StructureError``.
     """
     if config.mode is Mode.SINGLE_TRIAL:
+        if not 0 <= trial_index < len(trials):  # a negative index is an error, not a wrap
+            raise ValueError(f"trial index {trial_index} out of range 0..{len(trials) - 1}")
         estimator = threshold_denoise if config.threshold else denoise_trial
         return estimator(
-            select_trial(trials, trial_index), config, trials.pre_samples, trials.post_samples
+            trials.trials[trial_index], config, trials.pre_samples, trials.post_samples
         )
     return denoise_multi(trials, config)
 

@@ -20,9 +20,6 @@ __all__ = [
     "MAX_ADJUSTED_HAAR_ZEROS",
     "adjusted_haar_freq_magnitude",
     "classical_convention",
-    "make_adjusted_haar",
-    "make_coiflet1",
-    "make_daubechies4",
     "make_filter",
     "qmf_highpass",
 ]
@@ -110,40 +107,28 @@ def _check_param(family: Family, param: int) -> None:
         raise ValueError(f"{family.value} takes no zero-count parameter, got {param}")
 
 
-def make_daubechies4() -> FilterPair:
-    """Four-tap Daubechies filter with two vanishing wavelet moments."""
-    s3 = math.sqrt(3.0)
-    h = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * _SQRT2)
-    return FilterPair(Family.DAUBECHIES4, 0, h)
-
-
-def make_coiflet1() -> FilterPair:
-    """Six-tap coiflet with vanishing moments on both the wavelet and scaling side.
-
-    Closed form in sqrt(7); the defining moment conditions are verified
-    numerically in the test suite rather than trusted from tables.
-    """
-    s7 = math.sqrt(7.0)
-    h = np.array(
-        [s7 - 3.0, 1.0 - s7, 14.0 - 2.0 * s7, 14.0 + 2.0 * s7, 5.0 + s7, 1.0 - s7]
-    ) / (16.0 * _SQRT2)
-    return FilterPair(Family.COIFLET1, 0, h)
-
-
-def make_adjusted_haar(n: int) -> FilterPair:
-    """Haar low-pass with 2n interior zeros: [1, 0 x 2n, 1]/sqrt(2)."""
-    _check_param(Family.ADJUSTED_HAAR, n)
-    h = np.zeros(2 * n + 2)
-    h[0] = h[-1] = 1.0 / _SQRT2
-    return FilterPair(Family.ADJUSTED_HAAR, n, h)
-
-
 def make_filter(family: Family, param: int = 0) -> FilterPair:
-    """Build the filter pair for ``family``; ``param`` is the adjusted-Haar zero count."""
+    """Build the filter pair for ``family``; ``param`` is the adjusted-Haar zero count.
+
+    db4 is the four-tap Daubechies filter with two vanishing wavelet
+    moments. coif1 is the six-tap coiflet with vanishing moments on both
+    the wavelet and scaling side, in closed form in sqrt(7); the test suite
+    verifies its moment conditions rather than trusting tables. ahaar is
+    the Haar low-pass with 2n interior zeros: [1, 0 x 2n, 1]/sqrt(2).
+    """
     _check_param(family, param)
     if family is Family.ADJUSTED_HAAR:
-        return make_adjusted_haar(param)
-    return make_daubechies4() if family is Family.DAUBECHIES4 else make_coiflet1()
+        h = np.zeros(2 * param + 2)
+        h[0] = h[-1] = 1.0 / _SQRT2
+    elif family is Family.DAUBECHIES4:
+        s3 = math.sqrt(3.0)
+        h = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * _SQRT2)
+    else:
+        s7 = math.sqrt(7.0)
+        h = np.array(
+            [s7 - 3.0, 1.0 - s7, 14.0 - 2.0 * s7, 14.0 + 2.0 * s7, 5.0 + s7, 1.0 - s7]
+        ) / (16.0 * _SQRT2)
+    return FilterPair(family, param, h)
 
 
 def classical_convention(pair: FilterPair) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,6 @@ from megden.denoise import (
     TrialSet,
     concatenate_post_stimulus,
     denoise_trial,
-    select_trial,
 )
 from megden.errors import DatasetError
 from megden.filters import FilterPair, make_filter
@@ -136,7 +135,7 @@ def threshold_denoise_reference(trial, config: DenoiseConfig, pre: int, post: in
 def threshold_mean_reference(trials: TrialSet, config: DenoiseConfig, index: int = 0) -> np.ndarray:
     """Fixed trial-order mean of the reference estimator, accumulated from the first output."""
     if config.mode is Mode.SINGLE_TRIAL:
-        picked = [select_trial(trials, index)]
+        picked = [trials.trials[index]]
     else:
         picked = list(trials.trials)
     acc = None

@@ -23,14 +23,7 @@ from megden.denoise import (
     denoise_multi,
     estimate_sensors,
 )
-from megden.filters import (
-    Family,
-    adjusted_haar_freq_magnitude,
-    make_adjusted_haar,
-    make_coiflet1,
-    make_daubechies4,
-    make_filter,
-)
+from megden.filters import Family, adjusted_haar_freq_magnitude, make_filter
 from megden.metrics import snir
 from megden.transform import dwt_analyze, dwt_synthesize, max_decomposition_depth
 
@@ -58,7 +51,9 @@ def report(capsys):
 def test_criterion_1_filter_validity(report):
     start = time.perf_counter()
     ok = True
-    pairs = [make_daubechies4(), make_coiflet1()] + [make_adjusted_haar(n) for n in range(5)]
+    pairs = [make_filter(Family.DAUBECHIES4), make_filter(Family.COIFLET1)] + [
+        make_filter(Family.ADJUSTED_HAAR, n) for n in range(5)
+    ]
     for pair in pairs:
         h, g = pair.lowpass, pair.highpass
         ok &= abs(h.sum() - math.sqrt(2.0)) <= 1e-12
@@ -67,7 +62,7 @@ def test_criterion_1_filter_validity(report):
         for m in range(1, h.size // 2):
             ok &= abs(np.dot(h[2 * m :], h[: h.size - 2 * m])) <= 1e-12
             ok &= abs(np.dot(g[2 * m :], g[: g.size - 2 * m])) <= 1e-12
-    for pair in (make_daubechies4(), make_coiflet1()):
+    for pair in (make_filter(Family.DAUBECHIES4), make_filter(Family.COIFLET1)):
         k = np.arange(pair.highpass.size, dtype=float)
         for power in (0, 1):
             ok &= abs(np.dot(pair.highpass, k**power)) <= 1e-10
@@ -101,7 +96,7 @@ def test_criterion_2_perfect_reconstruction(report):
 
 
 def test_criterion_3_dimension_chain(report):
-    dec = dwt_analyze(np.zeros(66034), make_adjusted_haar(2), levels=8)
+    dec = dwt_analyze(np.zeros(66034), make_filter(Family.ADJUSTED_HAAR, 2), levels=8)
     ts = generate_synthetic(SyntheticConfig(seed=42, trials=1))
     trial = ts.trials[0]
     vec = concatenate_post_stimulus(trial, 120, 241)

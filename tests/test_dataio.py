@@ -357,6 +357,7 @@ def test_dataset_round_trip(tmp_path):
     assert back.sensors == 3 and back.pre_samples == 2 and back.post_samples == 4
     for a, b in zip(ts.trials, back.trials):
         assert np.array_equal(a, b)
+    assert back.trials.tobytes() == ts.trials.tobytes()
 
 
 def test_dataset_without_pre_stimulus_samples_round_trips(tmp_path):

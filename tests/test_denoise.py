@@ -403,15 +403,24 @@ def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(thr
 
 def test_trialset_validation():
     good = np.zeros((2, 5))
+    message = r"^need a T x K x \(pre\+post\) block with T >= 1, K >= 1 and 0 <= pre < columns"
+    for trials, pre in (
+        ((), 2),  # no trial
+        (np.zeros((0, 2, 5)), 2),  # no trial
+        (good, 2),  # 2-D
+        ((np.zeros(5),), 2),  # 2-D
+        ((np.zeros((0, 5)),), 2),  # no sensor
+        ((good,), 5),  # pre out of range
+        ((good,), -1),  # pre out of range
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrialSet(trials=trials, pre_samples=pre)
     with pytest.raises(ValueError):
-        TrialSet(trials=(), pre_samples=2)
-    for first, pre in ((good, 5), (good, -1), (np.zeros(5), 2), (np.zeros((0, 5)), 2)):
-        with pytest.raises(ValueError, match="^need a 2-D first trial"):
-            TrialSet(trials=(first,), pre_samples=pre)
-    with pytest.raises(StructureError, match=r"^trial 1 has shape \(3, 5\), expected \(2, 5\)$"):
         TrialSet(trials=(good, np.zeros((3, 5))), pre_samples=2)
     ts = TrialSet(trials=(good,), pre_samples=2)
     assert (len(ts), ts.sensors, ts.pre_samples, ts.post_samples) == (1, 2, 2, 3)
+    assert isinstance(ts.trials, np.ndarray) and ts.trials.dtype == np.float64
+    assert ts.trials.shape == (1, 2, 5) and not ts.trials.flags.writeable
 
 
 def test_sensor_estimate_validation():

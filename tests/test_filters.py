@@ -10,9 +10,6 @@ from megden.filters import (
     FilterPair,
     adjusted_haar_freq_magnitude,
     classical_convention,
-    make_adjusted_haar,
-    make_coiflet1,
-    make_daubechies4,
     make_filter,
     qmf_highpass,
 )
@@ -21,20 +18,20 @@ from megden.denoise import SensorEstimate, TrialSet
 from megden.metrics import SnirReport
 
 ALL_PAIRS = [
-    make_daubechies4(),
-    make_coiflet1(),
-    make_adjusted_haar(0),
-    make_adjusted_haar(1),
-    make_adjusted_haar(2),
-    make_adjusted_haar(3),
-    make_adjusted_haar(4),
+    make_filter(Family.DAUBECHIES4),
+    make_filter(Family.COIFLET1),
+    make_filter(Family.ADJUSTED_HAAR, 0),
+    make_filter(Family.ADJUSTED_HAAR, 1),
+    make_filter(Family.ADJUSTED_HAAR, 2),
+    make_filter(Family.ADJUSTED_HAAR, 3),
+    make_filter(Family.ADJUSTED_HAAR, 4),
 ]
 
 
 def test_daubechies4_closed_form():
     s3 = math.sqrt(3.0)
     want = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * math.sqrt(2.0))
-    got = make_daubechies4().lowpass
+    got = make_filter(Family.DAUBECHIES4).lowpass
     assert np.max(np.abs(got - want)) == 0.0
 
 
@@ -43,7 +40,7 @@ def test_coiflet1_closed_form():
     want = np.array(
         [s7 - 3.0, 1.0 - s7, 14.0 - 2.0 * s7, 14.0 + 2.0 * s7, 5.0 + s7, 1.0 - s7]
     ) / (16.0 * math.sqrt(2.0))
-    got = make_coiflet1().lowpass
+    got = make_filter(Family.COIFLET1).lowpass
     assert np.max(np.abs(got - want)) == 0.0
 
 
@@ -61,7 +58,9 @@ def test_orthonormal_identities(pair):
     pair.validate()  # must not raise
 
 
-@pytest.mark.parametrize("pair", [make_daubechies4(), make_coiflet1()], ids=["db4", "coif1"])
+@pytest.mark.parametrize(
+    "pair", [make_filter(Family.DAUBECHIES4), make_filter(Family.COIFLET1)], ids=["db4", "coif1"]
+)
 def test_two_vanishing_wavelet_moments(pair):
     k = np.arange(len(pair.highpass), dtype=float)
     for power in (0, 1):
@@ -70,7 +69,7 @@ def test_two_vanishing_wavelet_moments(pair):
 
 @pytest.mark.parametrize("n", range(5))
 def test_adjusted_haar_shape(n):
-    pair = make_adjusted_haar(n)
+    pair = make_filter(Family.ADJUSTED_HAAR, n)
     taps = pair.lowpass
     assert taps.size == 2 * n + 2
     assert taps[0] == taps[-1] == 1.0 / math.sqrt(2.0)
@@ -79,14 +78,14 @@ def test_adjusted_haar_shape(n):
 
 def test_adjusted_haar_param_bounds():
     with pytest.raises(ValueError):
-        make_adjusted_haar(-1)
+        make_filter(Family.ADJUSTED_HAAR, -1)
     with pytest.raises(ValueError, match="64"):
-        make_adjusted_haar(65)
-    make_adjusted_haar(64).validate()
+        make_filter(Family.ADJUSTED_HAAR, 65)
+    make_filter(Family.ADJUSTED_HAAR, 64).validate()
 
 
 def test_qmf_highpass_alternating_flip():
-    h = make_coiflet1().lowpass
+    h = make_filter(Family.COIFLET1).lowpass
     g = qmf_highpass(h)
     L = h.size
     for k in range(L):
@@ -101,11 +100,13 @@ def test_qmf_highpass_rejects_bad_lengths():
 
 
 def test_make_filter_dispatch():
-    assert np.array_equal(make_filter(Family.DAUBECHIES4).lowpass, make_daubechies4().lowpass)
-    assert np.array_equal(make_filter(Family.COIFLET1).lowpass, make_coiflet1().lowpass)
-    assert np.array_equal(
-        make_filter(Family.ADJUSTED_HAAR, 3).lowpass, make_adjusted_haar(3).lowpass
-    )
+    for family, param, taps in (
+        (Family.DAUBECHIES4, 0, 4),
+        (Family.COIFLET1, 0, 6),
+        (Family.ADJUSTED_HAAR, 3, 8),
+    ):
+        pair = make_filter(family, param)
+        assert (pair.family, pair.param, len(pair)) == (family, param, taps)
 
 
 def test_make_filter_rejects_param_for_fixed_families():
@@ -116,7 +117,7 @@ def test_make_filter_rejects_param_for_fixed_families():
 
 
 def test_validate_catches_tampering():
-    good = make_daubechies4()
+    good = make_filter(Family.DAUBECHIES4)
     bad = FilterPair(family=good.family, param=good.param, lowpass=good.lowpass + 1e-6)
     with pytest.raises(ValueError):
         bad.validate()
@@ -135,18 +136,18 @@ def test_filter_pair_derives_its_highpass(pair):
 
 
 def test_filter_arrays_are_read_only():
-    pair = make_daubechies4()
+    pair = make_filter(Family.DAUBECHIES4)
     with pytest.raises(ValueError):
         pair.lowpass[0] = 0.0
 
 
 def test_classical_convention_scaling():
-    h, g = classical_convention(make_daubechies4())
+    h, g = classical_convention(make_filter(Family.DAUBECHIES4))
     # classical orthogonal convention: lowpass sums to 2
     assert abs(h.sum() - 2.0) < 1e-12
     assert abs(g.sum()) < 1e-12
 
-    h, g = classical_convention(make_adjusted_haar(2))
+    h, g = classical_convention(make_filter(Family.ADJUSTED_HAAR, 2))
     # averaging convention: two active taps of 1/2
     assert h[0] == h[-1]
     assert abs(h[0] - 0.5) < 1e-12

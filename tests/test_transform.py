@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import dwt_analyze_reference, dwt_synthesize_reference, synthesize_step_reference
 
 from megden.errors import DepthError, StructureError
-from megden.filters import make_adjusted_haar, make_coiflet1, make_daubechies4
+from megden.filters import Family, make_filter
 from megden.transform import (
     Decomposition,
     dwt_analyze,
@@ -15,10 +15,16 @@ from megden.transform import (
     max_decomposition_depth,
 )
 
-FAMILIES = [make_daubechies4(), make_coiflet1(), make_adjusted_haar(2)]
+FAMILIES = [
+    make_filter(Family.DAUBECHIES4),
+    make_filter(Family.COIFLET1),
+    make_filter(Family.ADJUSTED_HAAR, 2),
+]
 FAMILY_IDS = ["db4", "coif1", "ahaar2"]
 # every family the CLI offers: db4, coif1 and adjusted Haar with n = 0..8 zeros
-ALL_FAMILIES = [make_daubechies4(), make_coiflet1()] + [make_adjusted_haar(n) for n in range(9)]
+ALL_FAMILIES = [make_filter(Family.DAUBECHIES4), make_filter(Family.COIFLET1)] + [
+    make_filter(Family.ADJUSTED_HAAR, n) for n in range(9)
+]
 
 
 def slow_analyze_step(x, taps):
@@ -53,7 +59,7 @@ def test_single_level_matches_reference(pair, length):
 
 @pytest.mark.parametrize(
     "pair",
-    FAMILIES + [make_adjusted_haar(0), make_adjusted_haar(1)],
+    FAMILIES + [make_filter(Family.ADJUSTED_HAAR, 0), make_filter(Family.ADJUSTED_HAAR, 1)],
     ids=FAMILY_IDS + ["ahaar0", "ahaar1"],
 )
 def test_round_trip_small(pair):
@@ -184,14 +190,14 @@ def test_synthesis_of_zero_detail_bands_matches_the_reference(pair, kind):
 
 def test_haar_level_is_pairwise_sum_and_difference():
     x = np.array([4.0, 2.0, 10.0, 6.0, 1.0, -3.0])
-    dec = dwt_analyze(x, make_adjusted_haar(0), levels=1)
+    dec = dwt_analyze(x, make_filter(Family.ADJUSTED_HAAR, 0), levels=1)
     root2 = np.sqrt(2.0)
     assert np.allclose(dec.approx * root2, [6.0, 16.0, -2.0], atol=1e-12)
     assert np.allclose(dec.details[0] * root2, [2.0, 4.0, 4.0], atol=1e-12)
 
 
 def test_haar_known_coefficient_values():
-    haar = make_adjusted_haar(0)
+    haar = make_filter(Family.ADJUSTED_HAAR, 0)
     flat = dwt_analyze(np.ones(4), haar, levels=1)
     assert np.allclose(flat.approx, [1.41421356, 1.41421356], atol=1e-8)
     assert np.allclose(flat.details[0], [0.0, 0.0], atol=1e-12)
@@ -202,7 +208,7 @@ def test_haar_known_coefficient_values():
 
 
 def test_synthesize_constant_case_directly():
-    haar = make_adjusted_haar(0)
+    haar = make_filter(Family.ADJUSTED_HAAR, 0)
     root2 = np.sqrt(2.0)
     dec = Decomposition(approx=np.array([root2, root2]), details=(np.zeros(2),), length=4)
     assert np.allclose(dwt_synthesize(dec, haar), [1.0, 1.0, 1.0, 1.0], atol=1e-12)
@@ -229,7 +235,7 @@ def test_constant_signal_coefficients():
 
 def test_length_chain_for_long_concatenated_vector():
     x = np.zeros(66034)
-    dec = dwt_analyze(x, make_adjusted_haar(2), levels=8)
+    dec = dwt_analyze(x, make_filter(Family.ADJUSTED_HAAR, 2), levels=8)
     assert dec.lengths == (66034, 33017, 16509, 8255, 4128, 2064, 1032, 516)
     assert dec.approx.size == 258
     assert [d.size for d in dec.details] == [33017, 16509, 8255, 4128, 2064, 1032, 516, 258]
@@ -237,7 +243,7 @@ def test_length_chain_for_long_concatenated_vector():
 
 def test_details_ordering_finest_first():
     x = np.arange(32.0)
-    dec = dwt_analyze(x, make_daubechies4(), levels=3)
+    dec = dwt_analyze(x, make_filter(Family.DAUBECHIES4), levels=3)
     assert [d.size for d in dec.details] == [16, 8, 4]
     assert dec.approx.size == 4
 
@@ -271,12 +277,12 @@ def test_max_decomposition_depth_matches_ceil_halving():
 def test_analyze_depth_error_names_limit(analyze):
     want = "^depth 5 is too deep for a length-16 signal; max feasible depth is 4$"
     with pytest.raises(DepthError, match=want):
-        analyze(np.zeros(16), make_daubechies4(), levels=5)
+        analyze(np.zeros(16), make_filter(Family.DAUBECHIES4), levels=5)
 
 
 @pytest.mark.parametrize("analyze", [dwt_analyze, dwt_approx])
 def test_analyze_rejects_bad_inputs(analyze):
-    pair = make_daubechies4()
+    pair = make_filter(Family.DAUBECHIES4)
     with pytest.raises(ValueError, match=r"^signal must be one-dimensional, got shape \(4, 4\)$"):
         analyze(np.zeros((4, 4)), pair, levels=1)
     with pytest.raises(ValueError, match="^signal must have at least 2 samples, got 1$"):
@@ -302,7 +308,7 @@ def test_a_non_finite_sample_leaves_the_approximation_non_finite(pair, bad):
 
 
 def test_synthesize_rejects_inconsistent_structure():
-    pair = make_daubechies4()
+    pair = make_filter(Family.DAUBECHIES4)
     dec = dwt_analyze(np.arange(16.0), pair, levels=2)
     wrong_approx = Decomposition(np.zeros(dec.approx.size + 1), dec.details, dec.length)
     with pytest.raises(StructureError):
@@ -318,10 +324,10 @@ def test_synthesize_checks_bands_against_the_derived_lengths():
     for fill in (np.zeros, np.ones):
         dec = Decomposition(fill(4), (fill(8), fill(4)), 15)
         assert dec.lengths == (15, 8)
-        assert dwt_synthesize(dec, make_daubechies4()).size == 15
+        assert dwt_synthesize(dec, make_filter(Family.DAUBECHIES4)).size == 15
         bad = Decomposition(fill(4), (fill(8), fill(3)), 15)
         with pytest.raises(StructureError, match="^detail band 1 has 3 samples, expected 4"):
-            dwt_synthesize(bad, make_daubechies4())
+            dwt_synthesize(bad, make_filter(Family.DAUBECHIES4))
 
 
 def test_decomposition_needs_a_detail_band_and_a_length():
@@ -350,7 +356,7 @@ def test_synthesis_of_bands_sized_by_lengths_returns_length_samples(length, leve
 
 def test_filter_longer_than_signal_still_inverts():
     # periodized wrap must tile the signal when the kernel overruns it
-    pair = make_adjusted_haar(4)  # 10 taps
+    pair = make_filter(Family.ADJUSTED_HAAR, 4)  # 10 taps
     x = np.array([3.0, -1.0, 2.0, 5.0])
     back = dwt_synthesize(dwt_analyze(x, pair, 1), pair)
     assert np.max(np.abs(back - x)) < 1e-12
