@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataio, denoise, metrics
@@ -42,15 +43,7 @@ def _config_from_args(args) -> denoise.DenoiseConfig:
 
 def cmd_gen(args) -> int:
     config = dataio.SyntheticConfig(
-        seed=args.seed,
-        sensors=args.sensors,
-        pre_samples=args.pre,
-        post_samples=args.post,
-        trials=args.trials,
-        noise_sigma=args.noise_sigma,
-        response_amp=args.amp,
-        response_freq_hz=args.freq,
-        response_decay_ms=args.decay,
+        **{f.name: getattr(args, f.name) for f in fields(dataio.SyntheticConfig)}
     )
     written = dataio.write_dataset(dataio.generate_synthetic(config), args.out)
     print(f"wrote {len(written)} files to {args.out}")
@@ -127,16 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic dataset (manifest + trial CSVs)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sensors", type=int, default=274)
-    p.add_argument("--pre", type=int, default=120)
-    p.add_argument("--post", type=int, default=241)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--noise-sigma", type=float, default=40.0, help="noise std dev (fT)")
-    p.add_argument("--amp", type=float, default=120.0, help="response amplitude (fT)")
-    p.add_argument("--freq", type=float, default=11.0, help="response frequency (Hz)")
-    p.add_argument("--decay", type=float, default=60.0, help="response decay constant (ms)")
-    p.set_defaults(func=cmd_gen)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sensors", type=int)
+    p.add_argument("--pre", dest="pre_samples", type=int)
+    p.add_argument("--post", dest="post_samples", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--noise-sigma", type=float, help="noise std dev (fT)")
+    p.add_argument("--amp", dest="response_amp", type=float, help="response amplitude (fT)")
+    p.add_argument("--freq", dest="response_freq_hz", type=float, help="response frequency (Hz)")
+    p.add_argument(
+        "--decay", dest="response_decay_ms", type=float, help="response decay constant (ms)"
+    )
+    p.set_defaults(func=cmd_gen, **asdict(dataio.SyntheticConfig()))
 
     p = sub.add_parser("average", help="write the across-trial average matrix")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -153,8 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output CSV")
     _add_wavelet_flags(p)
-    p.add_argument("--scales", type=int, default=8, help="decomposition depth")
-    p.add_argument("--mode", choices=("single", "multi"), default="multi")
+    p.add_argument(
+        "--scales", type=int, default=denoise.DenoiseConfig.scales, help="decomposition depth"
+    )
+    p.add_argument(
+        "--mode", choices=[m.value for m in denoise.Mode], default=denoise.DenoiseConfig.mode.value
+    )
     p.add_argument(
         "--trial", type=int, default=None, help="trial index (--mode single only, default 0)"
     )
@@ -179,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input CSV")
     p.add_argument("--out", required=True, help="output SVG")
     p.add_argument("--title", default=None)
-    p.add_argument("--width", type=int, default=960)
-    p.add_argument("--height", type=int, default=600)
+    p.add_argument("--width", type=int, default=PlotSpec.width)
+    p.add_argument("--height", type=int, default=PlotSpec.height)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -40,7 +40,6 @@ __all__ = [
     "load_manifest",
     "load_matrix",
     "load_trials",
-    "save_manifest",
     "save_matrix",
     "write_dataset",
 ]
@@ -252,21 +251,8 @@ def save_manifest(manifest: Manifest, path) -> None:
         f.write("\n")
 
 
-def _manifest_value(raw: dict, key: str, kind, noun: str):
-    """``raw[key]`` if it is a JSON value of ``kind``; a JSON ``true`` is not a number."""
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"key {key!r} must be {noun}, got {json.dumps(value)}")
-    return value
-
-
-def _manifest_float(raw: dict, key: str) -> float:
-    """``raw[key]`` as a float; an integer beyond the float range is not finite."""
-    value = _manifest_value(raw, key, (int, float), "a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} must be finite and positive, got an integer past 1e308") from None
+# The JSON values that each Manifest annotation accepts; annotations are postponed, so strings.
+_KINDS = {"int": (int, "an integer"), "str": (str, "a string"), "float": ((int, float), "a number")}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -289,21 +275,27 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")
-    known = {f.name for f in fields(Manifest)}
+    spec = fields(Manifest)
+    known = [f.name for f in spec]
     unknown = next((key for key in raw if key not in known), None)
     if unknown is not None:  # a misspelled key would otherwise pass unread
         raise DatasetError(f"{path}: invalid manifest: unknown key {unknown!r}")
+    missing = next((key for key in known if key not in raw), None)
+    if missing is not None:
+        raise DatasetError(f"{path}: missing manifest key {missing!r}")
     try:
-        return Manifest(
-            sensors=_manifest_value(raw, "sensors", int, "an integer"),
-            pre_samples=_manifest_value(raw, "pre_samples", int, "an integer"),
-            post_samples=_manifest_value(raw, "post_samples", int, "an integer"),
-            trials=_manifest_value(raw, "trials", int, "an integer"),
-            unit=_manifest_value(raw, "unit", str, "a string"),
-            sample_period_ms=_manifest_float(raw, "sample_period_ms"),
-        )
-    except KeyError as exc:
-        raise DatasetError(f"{path}: missing manifest key {exc.args[0]!r}") from None
+        for f in spec:  # a JSON true or false is not a number
+            kind, noun = _KINDS[f.type]
+            value = raw[f.name]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"key {f.name!r} must be {noun}, got {json.dumps(value)}")
+            raw[f.name] = float(value) if f.type == "float" else value
+        return Manifest(**raw)
+    except OverflowError:  # float() of an integer past the float range
+        raise DatasetError(
+            f"{path}: invalid manifest: {f.name} must be finite and positive, "
+            "got an integer past 1e308"
+        ) from None
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: invalid manifest: {exc}") from None
 

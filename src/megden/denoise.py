@@ -24,16 +24,9 @@ from .transform import dwt_analyze, dwt_approx, dwt_synthesize
 __all__ = [
     "DenoiseConfig",
     "Mode",
-    "SensorEstimate",
     "TrialSet",
     "average_trials",
-    "concatenate_post_stimulus",
     "denoise_dataset",
-    "denoise_multi",
-    "denoise_trial",
-    "estimate_sensors",
-    "reconstruct_denoised",
-    "threshold_denoise",
 ]
 
 
@@ -216,10 +209,7 @@ def average_trials(trials: TrialSet) -> np.ndarray:
 
     A trial sum that overflows the float64 range is a ``StructureError``.
     """
-    acc = np.zeros_like(trials.trials[0])
-    for t in trials.trials:
-        acc += t
-    return acc / len(trials)
+    return np.add.reduce(trials.trials, axis=0, initial=0.0) / len(trials)
 
 
 def _median(x: np.ndarray):

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict, fields
 from xml.dom import minidom
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 from oracles import load_matrix_reference
 
 from megden import dataio
-from megden.cli import main
-from megden.dataio import load_matrix, save_matrix
-from megden.denoise import TrialSet
+from megden.cli import build_parser, main
+from megden.dataio import SyntheticConfig, load_matrix, save_matrix
+from megden.denoise import DenoiseConfig, TrialSet
+from megden.filters import Family
+from megden.svgplot import PlotSpec
 
 GEN_SMALL = "--sensors 6 --pre 3 --post 8 --trials 2".split()
 
@@ -313,6 +316,20 @@ def test_n_without_ahaar_is_an_error(dataset, tmp_path, capsys, command, wavelet
 def test_ahaar_n_defaults_to_two(capsys):
     assert run_main("filters", "--wavelet", "ahaar") == 0
     assert "param 2" in capsys.readouterr().out
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the bench's gen check compares a flag-less `gen` against SyntheticConfig()
+    parser = build_parser()
+    gen = parser.parse_args(["gen"])
+    assert {f.name: getattr(gen, f.name) for f in fields(SyntheticConfig)} == asdict(
+        SyntheticConfig()
+    )
+    den = parser.parse_args(["denoise", "--data", "d", "--out", "o"])
+    config = DenoiseConfig(family=Family(den.wavelet))
+    assert (den.scales, den.mode) == (config.scales, config.mode.value)
+    plot = parser.parse_args(["plot", "--in", "i", "--out", "o"])
+    assert (plot.width, plot.height) == (PlotSpec().width, PlotSpec().height)
 
 
 def test_plot_polyline_count(dataset, tmp_path):

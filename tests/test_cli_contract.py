@@ -59,7 +59,7 @@ FLOATS = st.one_of(
 )
 # Any code point, lone surrogates included (argv holds them for undecodable bytes).
 TITLES = st.text(st.characters(exclude_categories=()), max_size=8)
-SIZE_DESTS = {"sensors", "pre", "post", "trials"}
+SIZE_DESTS = {"sensors", "pre_samples", "post_samples", "trials"}
 OUTPUT_DESTS = {"out", "ratios"}
 INPUT_DESTS = {"data", "mean", "calc", "infile"}
 # Always given: gen's defaults are the working directory and the full-size dataset.
