@@ -5,7 +5,10 @@ damped sinusoid starting at the stimulus, scaled per sensor by a random
 gain, plus white Gaussian noise. Randomness comes from a SplitMix64
 stream with a pinned draw order (sensor gains first, then noise in
 trial-major/sensor-major/time-major order), so a seed fully determines
-the dataset bytes.
+the dataset bytes. The noise is drawn 65,536 samples at a time and added
+in place to the one copy of the dataset, so the generator holds that
+copy plus a fixed scratch buffer; the chunks are even-sized and draws
+are counter-based, so chunking changes no draw.
 
 The trial CSVs are written and parsed by one forked worker per CPU in
 the process's affinity mask (narrow it with ``taskset`` or
@@ -46,6 +49,8 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 _REFUSED = "_\x1c\x1d\x1e\x1f"  # digit grouping, and separators that loadtxt strips as space
+# Noise samples drawn per step; even, so no Box-Muller pair straddles two draws.
+_NOISE_CHUNK = 65_536
 
 
 def _check_counts(config) -> None:
@@ -162,12 +167,15 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
         base = np.zeros((config.sensors, total))
         base[:, config.pre_samples :] = gains[:, None] * response[None, :]
 
-        if config.noise_sigma > 0.0:
-            shape = (config.trials, config.sensors, total)
-            block = config.noise_sigma * rng.gaussian(math.prod(shape)).reshape(shape)
-            block += base
-        else:  # a zero block added to base would turn its -0.0 samples into 0.0
-            block = np.broadcast_to(base, (config.trials, *base.shape)).copy()
+        dataset = TrialSet(np.broadcast_to(base, (config.trials, *base.shape)), config.pre_samples)
+        block = dataset.trials  # the one copy, C-contiguous and not yet shared
+        if config.noise_sigma > 0.0:  # adding 0.0 would turn base's -0.0 samples into 0.0
+            block.flags.writeable = True
+            flat = block.reshape(-1)  # a view of the block, in draw order
+            for start in range(0, flat.size, _NOISE_CHUNK):
+                chunk = flat[start : start + _NOISE_CHUNK]
+                chunk += config.noise_sigma * rng.gaussian(chunk.size)
+            block.flags.writeable = False
     if not np.isfinite(block).all():
         raise ValueError(
             f"synthetic samples are not finite for noise_sigma={config.noise_sigma!r}, "
@@ -175,7 +183,7 @@ def generate_synthetic(config: SyntheticConfig) -> TrialSet:
             f"response_freq_hz={config.response_freq_hz!r}, "
             f"response_decay_ms={config.response_decay_ms!r}"
         )
-    return TrialSet(block, config.pre_samples)
+    return dataset
 
 
 def save_matrix(matrix, path) -> None:

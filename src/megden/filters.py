@@ -39,8 +39,8 @@ class Family(Enum):
 
 
 def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy, so a frozen dataclass never aliases the caller's array."""
-    arr = np.array(values, dtype=np.float64)
+    """A read-only, C-contiguous float64 copy that never aliases the caller's array."""
+    arr = np.array(values, dtype=np.float64, order="C")
     arr.flags.writeable = False
     return arr
 

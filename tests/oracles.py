@@ -12,6 +12,9 @@ shrink from ``copysign``. The approximation mean is the loop that
 each trial's output and accumulates K x post values. The DWT references
 read each tap through a stride-2 window and scatter it through an index
 array; the library's phase-slice kernels must match them bit for bit.
+The generator reference draws all the noise in one call and adds the
+noise-free trials to it, as ``generate_synthetic`` did before it drew
+the noise in chunks straight into the dataset's block.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from megden.dataio import SplitMix64, SyntheticConfig
 from megden.denoise import (
     DenoiseConfig,
     Mode,
@@ -220,3 +224,36 @@ def render_traces_reference(matrix, spec: PlotSpec = PlotSpec()) -> str:
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def generate_synthetic_reference(config: SyntheticConfig) -> TrialSet:
+    """The whole noise block in one draw, then the noise-free trials added to it."""
+    rng = SplitMix64(config.seed)
+    gains = 2.0 * rng.uniform(config.sensors) - 1.0
+
+    total = config.pre_samples + config.post_samples
+    t_ms = np.arange(config.post_samples, dtype=np.float64)  # time since stimulus
+    # Finite but extreme options can overflow; the result is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = (
+            config.response_amp
+            * np.exp(-t_ms / config.response_decay_ms)
+            * np.sin(2.0 * math.pi * config.response_freq_hz * t_ms / 1000.0)
+        )
+        base = np.zeros((config.sensors, total))
+        base[:, config.pre_samples :] = gains[:, None] * response[None, :]
+
+        if config.noise_sigma > 0.0:
+            shape = (config.trials, config.sensors, total)
+            block = config.noise_sigma * rng.gaussian(math.prod(shape)).reshape(shape)
+            block += base
+        else:  # a zero block added to base would turn its -0.0 samples into 0.0
+            block = np.broadcast_to(base, (config.trials, *base.shape)).copy()
+    if not np.isfinite(block).all():
+        raise ValueError(
+            f"synthetic samples are not finite for noise_sigma={config.noise_sigma!r}, "
+            f"response_amp={config.response_amp!r}, "
+            f"response_freq_hz={config.response_freq_hz!r}, "
+            f"response_decay_ms={config.response_decay_ms!r}"
+        )
+    return TrialSet(block, config.pre_samples)

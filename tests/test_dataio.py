@@ -2,6 +2,7 @@ import json
 import math
 import os
 import signal
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import load_matrix_reference, save_matrix_reference
+from oracles import generate_synthetic_reference, load_matrix_reference, save_matrix_reference
 
 from megden import dataio
 from megden.cli import main
@@ -137,6 +138,73 @@ def test_trial_count_too_large_to_hold_fails_at_once(sigma):
     )
     with pytest.raises(ValueError):
         generate_synthetic(cfg)
+
+
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+@st.composite
+def synthetic_configs(draw):
+    """Configs whose T*K*(pre+post) sits on or next to a noise-chunk boundary, or is odd."""
+    chunk = dataio._NOISE_CHUNK
+    total = draw(
+        st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
+        | st.integers(0, 3000).map(lambda i: 2 * i + 1)
+    )
+    trials = draw(st.sampled_from(_divisors(total)))
+    sensors = draw(st.sampled_from(_divisors(total // trials)))
+    columns = total // trials // sensors
+    pre = draw(st.integers(0, columns - 1))
+    return SyntheticConfig(
+        seed=draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
+        sensors=sensors,
+        pre_samples=pre,
+        post_samples=columns - pre,
+        trials=trials,
+        noise_sigma=draw(st.sampled_from([0.0, 1e-300, 40.0, 1e5])),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=synthetic_configs())
+def test_chunked_noise_matches_the_one_shot_reference(config):
+    got = generate_synthetic(config)
+    want = generate_synthetic_reference(config)
+    assert got.pre_samples == want.pre_samples
+    assert got.trials.shape == want.trials.shape
+    assert got.trials.tobytes() == want.trials.tobytes()
+    assert got.trials.flags.c_contiguous and not got.trials.flags.writeable
+
+
+@pytest.mark.parametrize("overrides", [{"noise_sigma": 1e308}, {"response_freq_hz": 1e308}])
+def test_overflow_raises_the_reference_message(overrides):
+    config = SyntheticConfig(seed=5, sensors=3, trials=2, **overrides)
+    with pytest.raises(ValueError) as want:
+        generate_synthetic_reference(config)
+    with pytest.raises(ValueError) as got:
+        generate_synthetic(config)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_noise_free_trials_keep_their_negative_zeros(seed):
+    config = SyntheticConfig(seed=seed, sensors=40, trials=3, noise_sigma=0.0)
+    got = generate_synthetic(config).trials
+    want = generate_synthetic_reference(config).trials
+    assert np.any((got == 0.0) & np.signbit(got))  # a negative gain times sin(0) is -0.0
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_generator_holds_one_dataset_plus_a_fixed_scratch_buffer():
+    tracemalloc.start()
+    try:
+        ts = generate_synthetic(SyntheticConfig(seed=42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ts.trials.nbytes + 4_000_000
 
 
 def test_gains_are_drawn_before_noise():

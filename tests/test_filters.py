@@ -178,6 +178,54 @@ def test_freq_magnitude_envelope_bound(n, omega):
     assert adjusted_haar_freq_magnitude(n, omega) <= 4.0 / ((2 * n + 1) * omega)
 
 
+# Inputs that are not C-contiguous: a stride-0 broadcast, a Fortran-ordered
+# array (a row of one, for 1-D), and a transposed view.
+NON_C_LAYOUTS = {
+    "broadcast": (
+        lambda: np.broadcast_to(0.5, (4,)),
+        lambda: np.broadcast_to(np.arange(10.0).reshape(2, 5), (3, 2, 5)),
+    ),
+    "fortran": (
+        lambda: np.asfortranarray(np.arange(8.0).reshape(2, 4))[1],
+        lambda: np.asfortranarray(np.arange(30.0).reshape(3, 2, 5)),
+    ),
+    "transposed": (
+        lambda: np.arange(8.0).reshape(4, 2).T[1],
+        lambda: np.arange(30.0).reshape(5, 2, 3).T,
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(NON_C_LAYOUTS))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda vec, block: Decomposition(vec, (vec,), 8),
+        lambda vec, block: TrialSet(block, pre_samples=1),
+        lambda vec, block: FilterPair(Family.DAUBECHIES4, 0, vec),
+    ],
+    ids=["Decomposition", "TrialSet", "FilterPair"],
+)
+def test_constructors_store_c_contiguous_copies_of_any_layout(layout, build):
+    vec, block = (make() for make in NON_C_LAYOUTS[layout])
+    writeable = (vec.flags.writeable, block.flags.writeable)
+    assert not vec.flags.c_contiguous and not block.flags.c_contiguous
+    built = build(vec, block)
+    assert (vec.flags.writeable, block.flags.writeable) == writeable
+    stored = [
+        (name, arr)
+        for name, value in vars(built).items()
+        for arr in (value if isinstance(value, tuple) else (value,))
+        if isinstance(arr, np.ndarray)
+    ]
+    assert stored
+    for name, arr in stored:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert not np.shares_memory(arr, vec) and not np.shares_memory(arr, block)
+        want = qmf_highpass(vec) if name == "highpass" else block if arr.ndim == 3 else vec
+        assert np.array_equal(arr, want)
+
+
 @pytest.mark.parametrize(
     "shape,build",
     [

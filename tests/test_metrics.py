@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
+from megden.dataio import SyntheticConfig, generate_synthetic
+from megden.denoise import DenoiseConfig, average_trials, denoise_dataset
 from megden.errors import StructureError
+from megden.filters import Family
 from megden.metrics import SnirReport, snir
+
+# SNIR in dB against the noise-free response, to 2 decimals: the trial
+# average, then each wavelet's approximation and threshold estimators.
+SNIR_VS_TRUTH = {
+    42: {
+        "average": 2.72,
+        "db4": -0.75, "db4 thr": 0.41, "coif1": -0.67, "coif1 thr": 0.42,
+        "ahaar2": -0.43, "ahaar2 thr": -0.37, "ahaar8": -0.22, "ahaar8 thr": -0.32,
+    },
+    1234: {
+        "average": 1.99,
+        "db4": -0.68, "db4 thr": 0.39, "coif1": -0.65, "coif1 thr": 0.34,
+        "ahaar2": -0.33, "ahaar2 thr": -0.29, "ahaar8": -0.18, "ahaar8 thr": -0.20,
+    },
+}
 
 
 def test_zero_estimate_gives_exactly_zero_db():
@@ -108,3 +126,23 @@ def test_report_ratios_are_read_only():
     assert isinstance(report, SnirReport)
     with pytest.raises(ValueError):
         report.per_sensor_ratio[0] = 5.0
+
+
+@pytest.mark.parametrize("seed", sorted(SNIR_VS_TRUTH))
+def test_snir_against_the_noise_free_response_is_pinned(seed):
+    clean = generate_synthetic(SyntheticConfig(seed=seed, noise_sigma=0.0, trials=1))
+    truth = average_trials(clean)[:, clean.pre_samples :]
+    noisy = generate_synthetic(SyntheticConfig(seed=seed))
+    got = {"average": snir(truth, average_trials(noisy)[:, noisy.pre_samples :]).snir_db}
+    for name, family, param in (
+        ("db4", Family.DAUBECHIES4, 0),
+        ("coif1", Family.COIFLET1, 0),
+        ("ahaar2", Family.ADJUSTED_HAAR, 2),
+        ("ahaar8", Family.ADJUSTED_HAAR, 8),
+    ):
+        for threshold, suffix in ((False, ""), (True, " thr")):
+            config = DenoiseConfig(family=family, param=param, threshold=threshold)
+            got[name + suffix] = snir(truth, denoise_dataset(noisy, config)).snir_db
+    assert {name: round(db, 2) for name, db in got.items()} == SNIR_VS_TRUTH[seed]
+    # No wavelet estimate comes closer to the truth than plain averaging.
+    assert max(db for name, db in got.items() if name != "average") < got["average"]
