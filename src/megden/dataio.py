@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+_FIXED = {"unit": "fT", "sample_period_ms": 1.0}  # manifest keys with one legal value; see Manifest
 _REFUSED = "_\x1c\x1d\x1e\x1f"  # digit grouping, and separators that loadtxt strips as space
 # Noise samples drawn per step; even, so no Box-Muller pair straddles two draws.
 _NOISE_CHUNK = 65_536
@@ -62,23 +63,19 @@ def _check_counts(config) -> None:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Dataset geometry and units; one JSON document per dataset directory."""
+    """Dataset geometry, written as manifest.json with the format constants ``_FIXED``.
+
+    Samples are fT, 1 ms apart: the generator writes them so and ``plot``
+    labels columns in ms, so ``unit`` and ``sample_period_ms`` are not settings.
+    """
 
     sensors: int
     pre_samples: int
     post_samples: int
     trials: int
-    unit: str = "fT"
-    sample_period_ms: float = 1.0
 
     def __post_init__(self) -> None:
         _check_counts(self)
-        if self.unit != "fT":
-            raise ValueError(f"unit must be 'fT', got {self.unit!r}")
-        if not (math.isfinite(self.sample_period_ms) and self.sample_period_ms > 0):
-            raise ValueError(
-                f"sample_period_ms must be finite and positive, got {self.sample_period_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -254,13 +251,10 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
+    """Write the four counts, then ``unit`` "fT" and ``sample_period_ms`` 1.0."""
     with open(path, "w", encoding="ascii") as f:
-        json.dump(asdict(manifest), f, indent=2)
+        json.dump({**asdict(manifest), **_FIXED}, f, indent=2)
         f.write("\n")
-
-
-# The JSON values that each Manifest annotation accepts; annotations are postponed, so strings.
-_KINDS = {"int": (int, "an integer"), "str": (str, "a string"), "float": ((int, float), "a number")}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -274,6 +268,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_manifest(path) -> Manifest:
+    """The four counts; another ``unit`` than "fT" or ``sample_period_ms`` than 1 is refused."""
     path = Path(path)
     try:
         raw = json.loads(_read_ascii(path), object_pairs_hook=_unique_keys)
@@ -283,8 +278,8 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: manifest must be a JSON object")
-    spec = fields(Manifest)
-    known = [f.name for f in spec]
+    counts = [f.name for f in fields(Manifest)]
+    known = [*counts, *_FIXED]
     unknown = next((key for key in raw if key not in known), None)
     if unknown is not None:  # a misspelled key would otherwise pass unread
         raise DatasetError(f"{path}: invalid manifest: unknown key {unknown!r}")
@@ -292,18 +287,14 @@ def load_manifest(path) -> Manifest:
     if missing is not None:
         raise DatasetError(f"{path}: missing manifest key {missing!r}")
     try:
-        for f in spec:  # a JSON true or false is not a number
-            kind, noun = _KINDS[f.type]
-            value = raw[f.name]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"key {f.name!r} must be {noun}, got {json.dumps(value)}")
-            raw[f.name] = float(value) if f.type == "float" else value
-        return Manifest(**raw)
-    except OverflowError:  # float() of an integer past the float range
-        raise DatasetError(
-            f"{path}: invalid manifest: {f.name} must be finite and positive, "
-            "got an integer past 1e308"
-        ) from None
+        for key in counts:  # a JSON true or false is not a number
+            if isinstance(raw[key], bool) or not isinstance(raw[key], int):
+                raise TypeError(f"key {key!r} must be an integer, got {json.dumps(raw[key])}")
+        for key, want in _FIXED.items():  # JSON 1 equals 1.0
+            if isinstance(raw[key], bool) or raw[key] != want:
+                got = json.dumps(raw[key])
+                raise ValueError(f"key {key!r} must be {json.dumps(want)}, got {got}")
+        return Manifest(**{key: raw[key] for key in counts})
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: invalid manifest: {exc}") from None
 

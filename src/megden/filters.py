@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Family",
     "FilterPair",
-    "MAX_ADJUSTED_HAAR_ZEROS",
     "adjusted_haar_freq_magnitude",
     "classical_convention",
     "make_filter",

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -202,6 +203,29 @@ def test_unknown_manifest_key_is_an_error(dataset, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"megden: error: {manifest}: invalid manifest: unknown key 'trails'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,want", [("sample_period_ms", 2, "1.0"), ("unit", "pT", '"fT"')], ids=["2ms", "pT"]
+)
+@pytest.mark.parametrize(
+    "command", [["average"], ["denoise", "--scales", "2"]], ids=["average", "denoise"]
+)
+def test_other_unit_or_sample_period_is_an_error(dataset, tmp_path, capsys, command, key, value,
+                                                 want):
+    # every sample is read as fT and 1 ms apart, so another declared value must not load
+    manifest = dataset / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run_main(*command, "--data", str(dataset), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"megden: error: {manifest}: invalid manifest: key {key!r} must be {want}, "
+        f"got {json.dumps(value)}\n"
+    )
     assert not out.exists()
 
 

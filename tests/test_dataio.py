@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -359,13 +360,22 @@ def test_manifest_round_trip(tmp_path):
     assert raw["sample_period_ms"] == 1.0
 
 
-def test_manifest_validation():
+def test_manifest_validation(tmp_path):
     with pytest.raises(ValueError):
         Manifest(sensors=0, pre_samples=1, post_samples=1, trials=1)
-    with pytest.raises(ValueError):
+    # the unit and sample period are format constants, not fields ...
+    with pytest.raises(TypeError):
         Manifest(sensors=1, pre_samples=1, post_samples=1, trials=1, unit="pT")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Manifest(sensors=1, pre_samples=1, post_samples=1, trials=1, sample_period_ms=0.0)
+    # ... so another value is refused where it can appear: in a file
+    p = tmp_path / "m.json"
+    save_manifest(Manifest(sensors=1, pre_samples=1, post_samples=1, trials=1), p)
+    written = json.loads(p.read_text())
+    for key, value in (("unit", "pT"), ("sample_period_ms", 0.0)):
+        p.write_text(json.dumps({**written, key: value}))
+        with pytest.raises(DatasetError, match=rf"m\.json: invalid manifest: key '{key}' must be"):
+            load_manifest(p)
 
 
 def test_load_manifest_errors(tmp_path):
@@ -476,27 +486,41 @@ def test_manifest_declaring_more_trials_than_files_fails_at_once(tmp_path, decla
 
 
 def test_manifest_unit_and_period_are_strict(tmp_path):
+    # megden reads every sample as fT, 1 ms apart, so a 2 ms manifest is refused, not misread
     p = tmp_path / "m.json"
     good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
             "unit": "fT", "sample_period_ms": 1.0}
     p.write_text(json.dumps({**good, "sample_period_ms": 2}))
-    assert load_manifest(p).sample_period_ms == 2.0
+    with pytest.raises(DatasetError) as info:
+        load_manifest(p)
+    assert str(info.value) == f"{p}: invalid manifest: key 'sample_period_ms' must be 1.0, got 2"
+    p.write_text(json.dumps({**good, "sample_period_ms": 1}))  # JSON 1 is the number 1.0
+    assert load_manifest(p) == Manifest(sensors=4, pre_samples=2, post_samples=6, trials=3)
     cases = (
-        ("unit", 1, "must be a string"),
-        ("unit", None, "must be a string"),
-        ("sample_period_ms", "nan", "must be a number"),
-        ("sample_period_ms", "inf", "must be a number"),
-        ("sample_period_ms", True, "must be a number"),
-        ("sample_period_ms", "1.0", "must be a number"),
+        ("unit", 1, '"fT"'),
+        ("unit", None, '"fT"'),
+        ("unit", "pT", '"fT"'),
+        ("sample_period_ms", "nan", "1.0"),
+        ("sample_period_ms", "inf", "1.0"),
+        ("sample_period_ms", True, "1.0"),
+        ("sample_period_ms", "1.0", "1.0"),
     )
-    for key, value, reason in cases:
+    for key, value, want in cases:
         p.write_text(json.dumps({**good, key: value}))
-        with pytest.raises(DatasetError, match=rf"m\.json: .*'{key}' {reason}"):
+        with pytest.raises(DatasetError) as info:
             load_manifest(p)
+        got = json.dumps(value)
+        assert str(info.value) == f"{p}: invalid manifest: key {key!r} must be {want}, got {got}"
     # NaN and Infinity are JSON extensions that the json module accepts
     for literal in ("0", "-1.5", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         p.write_text(json.dumps(good).replace("1.0", literal))
-        with pytest.raises(DatasetError, match=r"m\.json: .*sample_period_ms must be finite"):
+        with pytest.raises(DatasetError, match=r"m\.json: invalid manifest: key 'sample_period_ms' "
+                                               r"must be 1\.0, got "):
+            load_manifest(p)
+    # a count's type is checked first, then the fixed keys, then the count's range
+    for bad_count, named in ((8.5, "sensors"), (0, "unit")):
+        p.write_text(json.dumps({**good, "sensors": bad_count, "unit": "pT"}))
+        with pytest.raises(DatasetError, match=rf"m\.json: invalid manifest: key '{named}' must"):
             load_manifest(p)
     for text in ("[1, 2]", '"fT"', "7", "null"):
         p.write_text(text)
@@ -518,24 +542,40 @@ json_values = st.recursive(
 manifest_keys = st.sampled_from(
     ["sensors", "pre_samples", "post_samples", "trials", "unit", "sample_period_ms"]
 )
-manifest_objects = st.dictionaries(
-    manifest_keys | st.text(max_size=5),
-    json_values | st.sampled_from(["fT", 1, 2.5, "nan", 10**400]),
-    max_size=8,
+manifest_values = json_values | st.sampled_from(["fT", 1, 2.5, "nan", 10**400])
+manifest_objects = st.dictionaries(manifest_keys | st.text(max_size=5), manifest_values, max_size=8)
+manifests = st.builds(
+    Manifest,
+    sensors=st.integers(min_value=1),
+    pre_samples=st.integers(min_value=0) | st.just(0),
+    post_samples=st.integers(min_value=1),
+    trials=st.integers(min_value=1) | st.just(10**400),
 )
+# a manifest that save_manifest writes, and then perhaps one key replaced by any JSON value
+one_key_edits = st.tuples(manifest_keys, manifest_values | st.integers(0, 9) | st.just(1.0))
+written_manifests = st.tuples(manifests, st.none() | one_key_edits)
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=manifest_objects.map(json.dumps) | st.text(max_size=40))
+@settings(max_examples=300, deadline=None)
+@given(doc=manifest_objects.map(json.dumps) | st.text(max_size=40) | written_manifests)
 def test_any_manifest_text_loads_or_raises_dataset_error(tmp_path_factory, doc):
     p = tmp_path_factory.mktemp("manifest") / MANIFEST_NAME
-    p.write_bytes(doc.encode("utf-8"))
+    if isinstance(doc, str):
+        p.write_bytes(doc.encode("utf-8"))
+    else:
+        manifest, edit = doc
+        save_manifest(manifest, p)
+        assert load_manifest(p) == manifest
+        if edit is not None:
+            key, value = edit
+            p.write_text(json.dumps({**json.loads(p.read_text()), key: value}))
     try:
         m = load_manifest(p)
     except DatasetError as exc:
         assert str(exc).startswith(str(p))
     else:
-        assert m.unit == "fT" and math.isfinite(m.sample_period_ms)
+        # what loads is the four counts beside the two fixed values, and nothing else
+        assert {**asdict(m), "unit": "fT", "sample_period_ms": 1.0} == json.loads(p.read_text())
 
 
 def test_load_dataset_parses_the_manifest_once(tmp_path):

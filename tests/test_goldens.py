@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from megden.dataio import SyntheticConfig, generate_synthetic, save_matrix
+from megden.dataio import (
+    MANIFEST_NAME,
+    SyntheticConfig,
+    generate_synthetic,
+    save_matrix,
+    write_dataset,
+)
 from megden.denoise import DenoiseConfig, Mode, denoise_dataset
 from megden.filters import Family
 
@@ -36,6 +42,13 @@ def digest(array) -> str:
     """sha256 of the shape's repr followed by the float64 bytes."""
     a = np.ascontiguousarray(array, dtype=np.float64)
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def test_manifest_bytes_match_golden(trials, tmp_path):
+    # key order, indent and the fixed unit and sample period; bench/golden.json has no manifest
+    write_dataset(trials, tmp_path)
+    got = hashlib.sha256((tmp_path / MANIFEST_NAME).read_bytes()).hexdigest()
+    assert got == "c5fc9bf4b660969f04f716f39b7aeca224284c1cb4b36e38c71c694662156b17"
 
 
 @pytest.mark.parametrize("name,threshold", [("den.csv", False), ("thr.csv", True)])
