@@ -257,12 +257,17 @@ def save_manifest(manifest: Manifest, path) -> None:
         f.write("\n")
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """``text`` cut to its first ``limit`` characters plus "...": an error line stays short."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys each appear once; ``json`` would keep a repeat's last value."""
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"repeated key {key!r}")
+            raise ValueError(f"repeated key {_excerpt(repr(key))}")
         obj[key] = value
     return obj
 
@@ -282,17 +287,18 @@ def load_manifest(path) -> Manifest:
     known = [*counts, *_FIXED]
     unknown = next((key for key in raw if key not in known), None)
     if unknown is not None:  # a misspelled key would otherwise pass unread
-        raise DatasetError(f"{path}: invalid manifest: unknown key {unknown!r}")
+        raise DatasetError(f"{path}: invalid manifest: unknown key {_excerpt(repr(unknown))}")
     missing = next((key for key in known if key not in raw), None)
     if missing is not None:
         raise DatasetError(f"{path}: missing manifest key {missing!r}")
     try:
         for key in counts:  # a JSON true or false is not a number
             if isinstance(raw[key], bool) or not isinstance(raw[key], int):
-                raise TypeError(f"key {key!r} must be an integer, got {json.dumps(raw[key])}")
+                got = _excerpt(json.dumps(raw[key]))
+                raise TypeError(f"key {key!r} must be an integer, got {got}")
         for key, want in _FIXED.items():  # JSON 1 equals 1.0
             if isinstance(raw[key], bool) or raw[key] != want:
-                got = json.dumps(raw[key])
+                got = _excerpt(json.dumps(raw[key]))
                 raise ValueError(f"key {key!r} must be {json.dumps(want)}, got {got}")
         return Manifest(**{key: raw[key] for key in counts})
     except (TypeError, ValueError) as exc:

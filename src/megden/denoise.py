@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import StructureError
 from .filters import Family, _check_param, _frozen, make_filter
-from .transform import dwt_analyze, dwt_approx, dwt_synthesize
+from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
 
 __all__ = [
     "DenoiseConfig",
@@ -213,10 +213,10 @@ def average_trials(trials: TrialSet) -> np.ndarray:
 
 
 def _median(x: np.ndarray):
-    """``np.median(x)``'s arithmetic on one partition, which sorts a nan last."""
+    """``np.median(x)``'s arithmetic on an in-place partition of ``x``, which sorts a nan last."""
     k, odd = divmod(x.size, 2)
-    p = np.partition(x, k if odd else (k - 1, k))
-    return p[k] if odd else (p[k - 1] + p[k]) / 2.0
+    x.partition(k if odd else (k - 1, k))
+    return x[k] if odd else (x[k - 1] + x[k]) / 2.0
 
 
 @_overflow_is_an_error("denoised estimate")
@@ -227,17 +227,19 @@ def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.n
     finest details, threshold lambda = sigma * sqrt(2 ln(K*post)) applied
     to every detail band. The median takes ``np.median``'s middle partition
     element(s) and arithmetic, but leaves out a nan, which the shrink and
-    rebuild still carry to the output. copysign(max(|d| - lambda, 0), d)
-    equals sign(d) * max(|d| - lambda, 0): no analysis band holds -0.0.
+    rebuild still carry to the output. The shrink d - clip(d, -lambda, lambda)
+    is sign(d) * max(|d| - lambda, 0) but for a zero's sign, which no synthesis
+    sum keeps, and a nan's sign bit; which outputs are finite is the same.
     """
     m = np.asarray(trial, dtype=np.float64)
     vec = concatenate_post_stimulus(m, pre, post)
     pair = make_filter(config.family, config.param)
     dec = dwt_analyze(vec, pair, config.scales)
-    mags = [np.abs(d) for d in dec.details]
-    sigma = _median(mags[0]) / 0.6745
+    sigma = _median(np.abs(dec.details[0])) / 0.6745
     lam = sigma * math.sqrt(2.0 * math.log(vec.size))
-    for mag, d in zip(mags, dec.details):
-        mag -= lam
-        np.copysign(np.maximum(mag, 0.0, out=mag), d, out=mag)
-    return dwt_synthesize(replace(dec, details=tuple(mags)), pair).reshape(m.shape[0], post)
+    shrunk = []
+    for d in dec.details:
+        c = np.clip(d, -lam, lam)
+        shrunk.append(np.subtract(d, c, out=c))
+    rebuilt = dwt_synthesize(Decomposition._adopt(dec.approx, shrunk, dec.length), pair)
+    return rebuilt.reshape(m.shape[0], post)

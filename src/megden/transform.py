@@ -17,9 +17,11 @@ slice,
     a[i] = sum_k h[k] * x_{k%2}[i + k//2],
 
 and synthesis adds tap k's term h[k]*a + g[k]*d to output phase k%2
-rotated by k//2. Every output element is summed from 0.0 over the taps
-in ascending k. That order keeps the outputs byte-identical: reordering
-the taps, starting from the first product (0.0 + -0.0 is 0.0), or a dot
+rotated by k//2. Every output element starts from its first product
+plus 0.0, which IEEE addition makes 0.0 + product bit for bit, and adds
+the other taps in ascending k; a phase that no tap reaches is all zero.
+That order keeps the outputs byte-identical: reordering the taps,
+starting from the bare first product, which may be -0.0, or a dot
 product or convolution routine changes the last bits.
 
 Each analysis phase is built once: one strided copy of x, the repeated
@@ -31,11 +33,12 @@ this changes no output bit; it only saves allocation and copying.
 
 Both kernels skip every tap k where h[k] and g[k] are zero (4 of the
 adjusted Haar ahaar2's 6 taps, 16 of ahaar8's 18). For finite input this
-leaves every output bit unchanged: each sum starts at +0.0, a float sum
-is -0.0 only when both addends are -0.0, so a sum never holds -0.0, and
-adding the +-0.0 that a zero tap times a finite sample gives leaves it
-as it was. A nan or inf sample still reaches the output through the
-non-zero taps, but not as the nan that 0 * inf would have made.
+leaves every output bit unchanged: a first product plus 0.0 is never
+-0.0, a float sum is -0.0 only when both addends are -0.0, so a sum
+never holds -0.0, and adding the +-0.0 that a zero tap times a finite
+sample gives leaves it as it was. A nan or inf sample still reaches the
+output through the non-zero taps, but not as the nan that 0 * inf would
+have made.
 
 Synthesis skips g[k]*d where the detail band d is all +-0.0, as soft
 thresholding zeroes whole fine bands. g[k]*d is then +-0.0, so h[k]*a and
@@ -88,6 +91,15 @@ class Decomposition:
                 f"{len(self.details)} bands, length {self.length}"
             )
 
+    @classmethod
+    def _adopt(cls, approx: np.ndarray, details, length: int) -> Decomposition:
+        """The constructor, but freezing in place new bands that nothing else holds, not copies."""
+        for band in (approx, *details):
+            band.flags.writeable = False
+        dec = cls.__new__(cls)
+        dec.__dict__.update(approx=approx, details=tuple(details), length=length)
+        return dec
+
     @property
     def levels(self) -> int:
         return len(self.details)
@@ -127,14 +139,19 @@ def _analyze_step(
             end = min(j + m, m + wrap)
             phase[j:end] = phase[: end - j]
         phases.append(phase)
-    a = np.zeros(m)
-    d = None if g is None else np.zeros(m)
+    a = d = None  # each sum starts from its first product plus 0.0
     product = np.empty(m)
     for k in taps:
         window = phases[k % 2][k // 2 : k // 2 + m]
+        if a is None:
+            a = np.add(np.multiply(window, h[k], out=product), 0.0)
+            d = None if g is None else np.add(np.multiply(window, g[k], out=product), 0.0)
+            continue
         a += np.multiply(window, h[k], out=product)
         if d is not None:
             d += np.multiply(window, g[k], out=product)
+    if a is None:  # an all-zero filter pair has no live tap
+        a, d = np.zeros(m), None if g is None else np.zeros(m)
     return a, d
 
 
@@ -142,7 +159,7 @@ def _synthesize_step(
     a: np.ndarray, d: np.ndarray, taps: list[int], h: np.ndarray, g: np.ndarray, out_len: int
 ) -> np.ndarray:
     m = a.size
-    phases = (np.zeros(m), np.zeros(m))  # y[2j] and y[2j + 1]
+    phases = [None, None]  # y[2j] and y[2j + 1]
     has_details = d.any()
     v = np.empty(m)  # h[k]*a + g[k]*d, with g[k]*d in gd
     gd = np.empty(m) if has_details else None
@@ -151,11 +168,13 @@ def _synthesize_step(
         np.multiply(a, h[k], out=v)
         if gd is not None:
             v += np.multiply(d, g[k], out=gd)
-        phase, s = phases[k % 2], (k // 2) % m
-        phase[s:] += v[: m - s]
-        phase[:s] += v[m - s :]
+        p, s = k % 2, (k // 2) % m
+        first = phases[p] is None  # a phase's sums start as 0.0 + its first tap's term
+        phase = phases[p] = np.empty(m) if first else phases[p]
+        np.add(0.0 if first else phase[s:], v[: m - s], out=phase[s:])
+        np.add(0.0 if first else phase[:s], v[m - s :], out=phase[:s])
     y = np.empty(2 * m)
-    y[0::2], y[1::2] = phases
+    y[0::2], y[1::2] = (0.0 if phase is None else phase for phase in phases)
     return y[:out_len]
 
 
@@ -184,7 +203,7 @@ def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
     for _ in range(levels):
         a, d = _analyze_step(a, taps, h, g)
         details.append(d)
-    return Decomposition(a, tuple(details), x.size)
+    return Decomposition._adopt(a, details, x.size)
 
 
 def dwt_approx(signal, filters: FilterPair, levels: int) -> np.ndarray:

@@ -124,13 +124,15 @@ def dwt_synthesize_reference(approx, details, lengths, filters: FilterPair) -> n
     return a
 
 
-def threshold_denoise_reference(trial, config: DenoiseConfig, pre: int, post: int) -> np.ndarray:
-    """The universal-rule shrinkage through ``np.median`` and ``np.sign * np.maximum``."""
+def threshold_denoise_reference(
+    trial, config: DenoiseConfig, pre: int, post: int, median=np.median
+) -> np.ndarray:
+    """The universal-rule shrinkage through ``median`` and ``np.sign * np.maximum``."""
     m = np.asarray(trial, dtype=np.float64)
     vec = concatenate_post_stimulus(m, pre, post)
     pair = make_filter(config.family, config.param)
     approx, details, lengths = dwt_analyze_reference(vec, pair, config.scales)
-    sigma = float(np.median(np.abs(details[0]))) / 0.6745
+    sigma = float(median(np.abs(details[0]))) / 0.6745
     lam = sigma * math.sqrt(2.0 * math.log(vec.size))
     shrunk = [np.sign(d) * np.maximum(np.abs(d) - lam, 0.0) for d in details]
     return dwt_synthesize_reference(approx, shrunk, lengths, pair).reshape(m.shape[0], post)

@@ -149,3 +149,36 @@ def test_traced_layers_run_once_per_trial(monkeypatch):
         "concatenate_post_stimulus": 10, "estimate_sensors": 0, "dwt_analyze": 10,
         "dwt_approx": 0, "dwt_synthesize": 10,
     }
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0), (Family.ADJUSTED_HAAR, 2),
+     (Family.ADJUSTED_HAAR, 8)],
+    ids=["db4", "coif1", "ahaar2", "ahaar8"],
+)
+def test_threshold_denoise_transforms_through_the_traced_names(monkeypatch, family, param):
+    # the per-family transform.dwt_analyze/dwt_synthesize spans of a traced
+    # bench run come only from threshold_denoise's calls through these names
+    calls = {"dwt_analyze": [], "dwt_synthesize": []}
+
+    def recording(name):
+        original = getattr(denoise, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, original(*args, **kwargs)))
+            return calls[name][-1][1]
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(denoise, name, recording(name))
+    trials = generate_synthetic(SyntheticConfig(seed=42, trials=3))
+    config = denoise.DenoiseConfig(family=family, param=param, scales=8, threshold=True)
+    for trial in trials.trials:
+        for seen in calls.values():
+            seen.clear()
+        denoise.threshold_denoise(trial, config, trials.pre_samples, trials.post_samples)
+        assert [len(seen) for seen in calls.values()] == [1, 1]
+        # synthesis gets the analysed approximation band itself, not a copy
+        (_, analysed), ((shrunk, _), _) = calls["dwt_analyze"][0], calls["dwt_synthesize"][0]
+        assert shrunk.approx is analysed.approx

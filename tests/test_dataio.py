@@ -425,6 +425,28 @@ def test_unknown_manifest_key_is_an_error(tmp_path):
         load_manifest(p)
 
 
+def test_manifest_errors_echo_a_short_excerpt_of_a_long_key_or_value(tmp_path):
+    # one error line per bad manifest, however long the key or value it names
+    p = tmp_path / "m.json"
+    good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
+            "unit": "fT", "sample_period_ms": 1.0}
+    long = "x" * 100_000
+    cut = "x" * 39 + "..."  # 40 characters of the quoted text, then "..."
+    cases = (
+        (json.dumps({**good, "unit": long}),
+         f'invalid manifest: key \'unit\' must be "fT", got "{cut}'),
+        (json.dumps({**good, "trials": long}),
+         f'invalid manifest: key \'trials\' must be an integer, got "{cut}'),
+        (json.dumps({**good, long: 1}), f"invalid manifest: unknown key '{cut}"),
+        (f'{{"{long}": 1, "{long}": 1}}', f"invalid JSON: repeated key '{cut}"),
+    )
+    for text, message in cases:
+        p.write_text(text)
+        with pytest.raises(DatasetError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: {message}"
+
+
 def test_dataset_round_trip(tmp_path):
     ts = generate_synthetic(
         SyntheticConfig(seed=8, sensors=3, pre_samples=2, post_samples=4, trials=2)

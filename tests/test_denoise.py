@@ -366,6 +366,40 @@ def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, ba
                 assert not np.isfinite(out).all()
 
 
+def nan_last_median(x: np.ndarray):
+    """``np.median``'s arithmetic on ``np.sort``'s order, which puts a nan last."""
+    s = np.sort(x)
+    k, odd = divmod(s.size, 2)
+    return s[k] if odd else (s[k - 1] + s[k]) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=st.data())
+@pytest.mark.parametrize(
+    "family",
+    [(Family.DAUBECHIES4, 0), (Family.COIFLET1, 0), (Family.ADJUSTED_HAAR, 0)],
+    ids=["db4", "coif1", "ahaar0"],
+)
+def test_non_finite_input_keeps_the_reference_finite_mask_and_bits(family, draw):
+    # The shrink d - clip(d, -lam, lam) may give a nan another sign bit than the
+    # reference's sign(d) * max(|d| - lam, 0), and nothing else. The reference's
+    # np.median is nan for any nan, where the partition sorts a nan last, so it
+    # takes the same median here; its kernels also multiply zero taps (0 * inf is
+    # nan), so the families compared are those without zero taps.
+    sensors, post, pre = draw.draw(st.integers(1, 5)), draw.draw(st.integers(1, 20)), 1
+    assume(sensors * post >= 2)
+    elements = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf])
+    trial = draw.draw(arrays(np.float64, (sensors, pre + post), elements=elements))
+    for scales in range(1, max_decomposition_depth(sensors * post) + 1):
+        config = DenoiseConfig(family[0], family[1], scales, threshold=True)
+        got = threshold_denoise(trial, config, pre, post)
+        with np.errstate(invalid="ignore"):
+            want = threshold_denoise_reference(trial, config, pre, post, median=nan_last_median)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+
 @pytest.mark.parametrize("signs", [[1.0] * 6, [1.0, -1.0] * 3], ids=["positive", "mixed"])
 @pytest.mark.parametrize(
     "estimator",

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import dwt_analyze_reference, dwt_synthesize_reference, synthesize_step_reference
 
 from megden.errors import DepthError, StructureError
-from megden.filters import Family, make_filter
+from megden.filters import Family, FilterPair, make_filter
 from megden.transform import (
     Decomposition,
     dwt_analyze,
@@ -360,3 +360,37 @@ def test_filter_longer_than_signal_still_inverts():
     x = np.array([3.0, -1.0, 2.0, 5.0])
     back = dwt_synthesize(dwt_analyze(x, pair, 1), pair)
     assert np.max(np.abs(back - x)) < 1e-12
+
+
+@pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: f"{p.family.value}{p.param}")
+@pytest.mark.parametrize("length", [2, 13, 64])
+def test_analysis_bands_are_frozen_and_private(pair, length):
+    # dwt_analyze keeps the bands it computes without copying them, so each
+    # must be a new array of its own that a later write to the signal misses
+    x = np.random.default_rng(length).normal(size=length)
+    dec = dwt_analyze(x, pair, max_decomposition_depth(length))
+    bands = (dec.approx, *dec.details)
+    kept = [band.copy() for band in bands]
+    for i, band in enumerate(bands):
+        assert band.flags.c_contiguous and not band.flags.writeable
+        assert not np.shares_memory(band, x)
+        assert not any(np.shares_memory(band, other) for other in bands[i + 1 :])
+    x[:] = np.nan
+    assert all(band.tobytes() == old.tobytes() for band, old in zip(bands, kept))
+
+
+@pytest.mark.parametrize("taps", [2, 8, 18])
+@pytest.mark.parametrize("length", [2, 7, 16])
+def test_an_all_zero_lowpass_analyses_and_synthesises_to_zeros(taps, length):
+    # no tap is live, so no sum has a first product to start from
+    pair = FilterPair(Family.DAUBECHIES4, 0, np.zeros(taps))
+    x = np.random.default_rng(taps).normal(size=length)
+    levels = max_decomposition_depth(length)
+    dec = dwt_analyze(x, pair, levels)
+    for band in (dec.approx, *dec.details):
+        assert band.tobytes() == np.zeros(band.size).tobytes()
+    assert dwt_approx(x, pair, levels).tobytes() == dec.approx.tobytes()
+    rng = np.random.default_rng(length)
+    bands = tuple(rng.normal(size=d.size) for d in dec.details)
+    rebuilt = dwt_synthesize(Decomposition(rng.normal(size=dec.approx.size), bands, length), pair)
+    assert rebuilt.tobytes() == np.zeros(length).tobytes()
