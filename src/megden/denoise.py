@@ -241,5 +241,5 @@ def threshold_denoise(trial, config: DenoiseConfig, pre: int, post: int) -> np.n
     for d in dec.details:
         c = np.clip(d, -lam, lam)
         shrunk.append(np.subtract(d, c, out=c))
-    rebuilt = dwt_synthesize(Decomposition._adopt(dec.approx, shrunk, dec.length), pair)
+    rebuilt = dwt_synthesize(Decomposition(dec.approx, shrunk, dec.length), pair)
     return rebuilt.reshape(m.shape[0], post)

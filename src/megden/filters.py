@@ -96,7 +96,9 @@ def qmf_highpass(lowpass) -> np.ndarray:
 
 
 def _check_param(family: Family, param: int) -> None:
-    """Raise ValueError unless ``param`` is a zero count ``family`` can build."""
+    """Raise ValueError unless ``family`` is a Family and ``param`` a zero count it can build."""
+    if not isinstance(family, Family):
+        raise ValueError(f"family must be a Family member, got {family!r}")
     if family is Family.ADJUSTED_HAAR:
         if not 0 <= param <= MAX_ADJUSTED_HAAR_ZEROS:
             raise ValueError(

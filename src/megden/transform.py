@@ -57,10 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthError, StructureError
-from .filters import FilterPair, _frozen
+from .filters import FilterPair
 
 __all__ = [
-    "Decomposition",
     "dwt_analyze",
     "dwt_approx",
     "dwt_synthesize",
@@ -76,6 +75,8 @@ class Decomposition:
     deepest approximation, so ``levels`` is ``len(details)``. ``lengths[j]``
     is the signal length fed into level j+1, ceil(length / 2**j) as each
     level ceil-halves; synthesis uses it to undo the odd-length extensions.
+    Each band's size must match ``lengths``. A C-contiguous float64 band is
+    kept and frozen in place, not copied; any other band is converted.
     """
 
     approx: np.ndarray
@@ -83,22 +84,29 @@ class Decomposition:
     length: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "approx", _frozen(self.approx))
-        object.__setattr__(self, "details", tuple(_frozen(d) for d in self.details))
-        if not self.details or self.length < 1:
+        approx, *details = (
+            np.ascontiguousarray(band, dtype=np.float64) for band in (self.approx, *self.details)
+        )
+        for band in (approx, *details):
+            band.setflags(write=False)
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "details", tuple(details))
+        if not details or self.length < 1:
             raise StructureError(
                 f"need at least one detail band and length >= 1; got "
-                f"{len(self.details)} bands, length {self.length}"
+                f"{len(details)} bands, length {self.length}"
             )
-
-    @classmethod
-    def _adopt(cls, approx: np.ndarray, details, length: int) -> Decomposition:
-        """The constructor, but freezing in place new bands that nothing else holds, not copies."""
-        for band in (approx, *details):
-            band.flags.writeable = False
-        dec = cls.__new__(cls)
-        dec.__dict__.update(approx=approx, details=tuple(details), length=length)
-        return dec
+        lengths = self.lengths
+        if approx.size != (expected := (lengths[-1] + 1) // 2):
+            raise StructureError(
+                f"approximation band has {approx.size} samples, expected {expected}"
+            )
+        for j, (d, n) in enumerate(zip(details, lengths)):
+            if d.size != (n + 1) // 2:
+                raise StructureError(
+                    f"detail band {j} has {d.size} samples, expected {(n + 1) // 2} "
+                    f"for level input length {n}"
+                )
 
     @property
     def levels(self) -> int:
@@ -203,7 +211,7 @@ def dwt_analyze(signal, filters: FilterPair, levels: int) -> Decomposition:
     for _ in range(levels):
         a, d = _analyze_step(a, taps, h, g)
         details.append(d)
-    return Decomposition._adopt(a, details, x.size)
+    return Decomposition(a, details, x.size)
 
 
 def dwt_approx(signal, filters: FilterPair, levels: int) -> np.ndarray:
@@ -222,17 +230,6 @@ def dwt_synthesize(dec: Decomposition, filters: FilterPair) -> np.ndarray:
     """Invert :func:`dwt_analyze` exactly, given the same filter pair."""
     h, g = filters.lowpass, filters.highpass
     lengths = dec.lengths
-    expected = (lengths[-1] + 1) // 2
-    if dec.approx.size != expected:
-        raise StructureError(
-            f"approximation band has {dec.approx.size} samples, expected {expected}"
-        )
-    for j, (d, n) in enumerate(zip(dec.details, lengths)):
-        if d.size != (n + 1) // 2:
-            raise StructureError(
-                f"detail band {j} has {d.size} samples, expected {(n + 1) // 2} "
-                f"for level input length {n}"
-            )
     a = dec.approx
     taps = _live_taps(h, g)
     for j in range(dec.levels - 1, -1, -1):

@@ -14,7 +14,7 @@ from megden.filters import (
     qmf_highpass,
 )
 from megden.transform import Decomposition
-from megden.denoise import SensorEstimate, TrialSet
+from megden.denoise import DenoiseConfig, SensorEstimate, TrialSet
 from megden.metrics import SnirReport
 
 ALL_PAIRS = [
@@ -107,6 +107,16 @@ def test_make_filter_dispatch():
     ):
         pair = make_filter(family, param)
         assert (pair.family, pair.param, len(pair)) == (family, param, taps)
+
+
+@pytest.mark.parametrize("family", ["db4", "coif1", "ahaar", None])
+def test_a_family_that_is_not_a_family_member_is_refused(family):
+    # a CLI name is not a Family member; unchecked, "db4" would build coif1
+    param = 2 if family == "ahaar" else 0
+    with pytest.raises(ValueError, match=f"family must be a Family member, got {family!r}"):
+        make_filter(family, param)
+    with pytest.raises(ValueError, match=f"family must be a Family member, got {family!r}"):
+        DenoiseConfig(family=family, param=param)
 
 
 def test_make_filter_rejects_param_for_fixed_families():
@@ -241,6 +251,19 @@ def test_constructors_leave_the_callers_arrays_alone(shape, build):
     a = np.arange(4.0).reshape(shape)
     b = np.full(shape, -0.5)
     built = build(a, b)
+    if isinstance(built, Decomposition):
+        # the one record that adopts its bands: a C-contiguous float64 band is
+        # kept and frozen in place, and any other band is converted
+        assert built.approx is a and built.details == (b,)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert np.array_equal(a, np.arange(4.0)) and np.array_equal(b, np.full(4, -0.5))
+        single, strided = np.arange(4.0, dtype=np.float32), np.arange(8.0)[::2]
+        other = Decomposition(single, (strided,), 8)
+        assert single.flags.writeable and strided.flags.writeable
+        for arr, given in ((other.approx, single), (other.details[0], strided)):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous and not arr.flags.writeable
+            assert not np.shares_memory(arr, given) and np.array_equal(arr, given)
+        return
     assert a.flags.writeable and b.flags.writeable
     assert np.array_equal(a, np.arange(4.0).reshape(shape)) and np.array_equal(b, np.full(shape, -0.5))
     for value in vars(built).values():

@@ -310,12 +310,10 @@ def test_a_non_finite_sample_leaves_the_approximation_non_finite(pair, bad):
 def test_synthesize_rejects_inconsistent_structure():
     pair = make_filter(Family.DAUBECHIES4)
     dec = dwt_analyze(np.arange(16.0), pair, levels=2)
-    wrong_approx = Decomposition(np.zeros(dec.approx.size + 1), dec.details, dec.length)
     with pytest.raises(StructureError):
-        dwt_synthesize(wrong_approx, pair)
-    wrong_detail = Decomposition(dec.approx, (dec.details[0][:-1], dec.details[1]), dec.length)
+        Decomposition(np.zeros(dec.approx.size + 1), dec.details, dec.length)
     with pytest.raises(StructureError):
-        dwt_synthesize(wrong_detail, pair)
+        Decomposition(dec.approx, (dec.details[0][:-1], dec.details[1]), dec.length)
 
 
 def test_synthesize_checks_bands_against_the_derived_lengths():
@@ -325,9 +323,8 @@ def test_synthesize_checks_bands_against_the_derived_lengths():
         dec = Decomposition(fill(4), (fill(8), fill(4)), 15)
         assert dec.lengths == (15, 8)
         assert dwt_synthesize(dec, make_filter(Family.DAUBECHIES4)).size == 15
-        bad = Decomposition(fill(4), (fill(8), fill(3)), 15)
         with pytest.raises(StructureError, match="^detail band 1 has 3 samples, expected 4"):
-            dwt_synthesize(bad, make_filter(Family.DAUBECHIES4))
+            Decomposition(fill(4), (fill(8), fill(3)), 15)
 
 
 def test_decomposition_needs_a_detail_band_and_a_length():
@@ -342,16 +339,30 @@ def test_decomposition_needs_a_detail_band_and_a_length():
     length=st.integers(min_value=1, max_value=5000),
     levels=st.integers(min_value=1, max_value=16),
     which=st.integers(min_value=0, max_value=len(ALL_FAMILIES) - 1),
+    data=st.data(),
 )
-def test_synthesis_of_bands_sized_by_lengths_returns_length_samples(length, levels, which):
+def test_synthesis_of_bands_sized_by_lengths_returns_length_samples(length, levels, which, data):
     lengths = [length]
     for _ in range(levels - 1):
         lengths.append((lengths[-1] + 1) // 2)
     rng = np.random.default_rng(length)
     bands = tuple(rng.normal(size=(n + 1) // 2) for n in lengths)
-    dec = Decomposition(rng.normal(size=bands[-1].size), bands, length)
+    top = rng.normal(size=bands[-1].size)
+    dec = Decomposition(top, bands, length)
     assert dec.lengths == tuple(lengths)
     assert dwt_synthesize(dec, ALL_FAMILIES[which]).shape == (length,)
+    # one band a sample short or long is refused when the record is built
+    wrong = data.draw(st.integers(min_value=0, max_value=levels), label="wrong band")
+    delta = data.draw(st.sampled_from([-1, 1]), label="size change")
+    if wrong == levels:  # the approximation
+        top = np.zeros(top.size + delta)
+        name, size = "approximation band", top.size
+    else:
+        bad = np.zeros(bands[wrong].size + delta)
+        bands = bands[:wrong] + (bad,) + bands[wrong + 1 :]
+        name, size = f"detail band {wrong}", bad.size
+    with pytest.raises(StructureError, match=f"^{name} has {size} samples, expected "):
+        Decomposition(top, bands, length)
 
 
 def test_filter_longer_than_signal_still_inverts():
