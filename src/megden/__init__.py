@@ -7,10 +7,9 @@ metric, deterministic synthetic data generation, CSV/JSON dataset files, and
 an SVG trace plotter.
 """
 
-from . import dataio, denoise, errors, filters, metrics, svgplot, transform
+from . import dataio, denoise, filters, metrics, svgplot, transform
 from .dataio import *  # noqa: F401,F403
 from .denoise import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
 from .filters import *  # noqa: F401,F403
 from .metrics import *  # noqa: F401,F403
 from .svgplot import *  # noqa: F401,F403
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = sorted(
     {
         name
-        for module in (dataio, denoise, errors, filters, metrics, svgplot, transform)
+        for module in (dataio, denoise, filters, metrics, svgplot, transform)
         for name in module.__all__
     }
 )

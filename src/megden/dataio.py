@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import TrialSet
-from .errors import DatasetError
+from .filters import _is_integer
 
 __all__ = [
     "Manifest",
@@ -42,7 +42,6 @@ __all__ = [
     "load_dataset",
     "load_manifest",
     "load_matrix",
-    "load_trials",
     "save_matrix",
     "write_dataset",
 ]
@@ -55,10 +54,13 @@ _NOISE_CHUNK = 65_536
 
 
 def _check_counts(config) -> None:
-    """``pre_samples`` may be 0; the other three counts must be at least 1."""
+    """Four integers: ``pre_samples`` may be 0; the other three counts must be at least 1."""
     for name, least in (("sensors", 1), ("pre_samples", 0), ("post_samples", 1), ("trials", 1)):
-        if getattr(config, name) < least:
-            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ class SyntheticConfig:
     response_decay_ms: float = 60.0
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         _check_counts(self)
@@ -202,25 +206,25 @@ def _read_ascii(path: Path) -> str:
     except UnicodeDecodeError as exc:
         head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1
-        raise DatasetError(f"{path}:{line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+        raise ValueError(f"{path}:{line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _line_error(path: Path, lines: list[str]) -> DatasetError:
+def _line_error(path: Path, lines: list[str]) -> ValueError:
     """The error for the first line that is not one row of the matrix; returns no data."""
     for lineno, line in enumerate(lines, start=1):
         if any(c in line for c in _REFUSED):
-            return DatasetError(f"{path}:{lineno}: malformed row")
+            return ValueError(f"{path}:{lineno}: malformed row")
         if not line.strip():
-            return DatasetError(f"{path}:{lineno}: blank line in data file")
+            return ValueError(f"{path}:{lineno}: blank line in data file")
         try:
             np.loadtxt([line], delimiter=",", comments=None)
         except ValueError:
-            return DatasetError(f"{path}:{lineno}: malformed row")
+            return ValueError(f"{path}:{lineno}: malformed row")
         if line.count(",") != lines[0].count(","):
             width, cells = lines[0].count(",") + 1, line.count(",") + 1
-            return DatasetError(f"{path}:{lineno}: expected {width} columns, got {cells}")
-    return DatasetError(f"{path}:1: empty data file")
+            return ValueError(f"{path}:{lineno}: expected {width} columns, got {cells}")
+    return ValueError(f"{path}:1: empty data file")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -246,7 +250,7 @@ def load_matrix(path) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         row, col = bad[0]
-        raise DatasetError(f"{path}:{row + 1}:{col + 1}: non-finite value")
+        raise ValueError(f"{path}:{row + 1}:{col + 1}: non-finite value")
     return m
 
 
@@ -278,19 +282,19 @@ def load_manifest(path) -> Manifest:
     try:
         raw = json.loads(_read_ascii(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # a repeated key, huge integer, deep nesting
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise DatasetError(f"{path}: manifest must be a JSON object")
+        raise ValueError(f"{path}: manifest must be a JSON object")
     counts = [f.name for f in fields(Manifest)]
     known = [*counts, *_FIXED]
     unknown = next((key for key in raw if key not in known), None)
     if unknown is not None:  # a misspelled key would otherwise pass unread
-        raise DatasetError(f"{path}: invalid manifest: unknown key {_excerpt(repr(unknown))}")
+        raise ValueError(f"{path}: invalid manifest: unknown key {_excerpt(repr(unknown))}")
     missing = next((key for key in known if key not in raw), None)
     if missing is not None:
-        raise DatasetError(f"{path}: missing manifest key {missing!r}")
+        raise ValueError(f"{path}: missing manifest key {missing!r}")
     try:
         for key in counts:  # a JSON true or false is not a number
             if isinstance(raw[key], bool) or not isinstance(raw[key], int):
@@ -302,7 +306,7 @@ def load_manifest(path) -> Manifest:
                 raise ValueError(f"key {key!r} must be {json.dumps(want)}, got {got}")
         return Manifest(**{key: raw[key] for key in counts})
     except (TypeError, ValueError) as exc:
-        raise DatasetError(f"{path}: invalid manifest: {exc}") from None
+        raise ValueError(f"{path}: invalid manifest: {exc}") from None
 
 
 def _run_chunk(fn, chunk: list) -> tuple[bool, object]:
@@ -390,7 +394,7 @@ def _fanout(fn, items) -> list:
 def _load_trial_files(manifest: Manifest, manifest_path, data_paths) -> TrialSet:
     paths = [Path(p) for p in data_paths]
     if len(paths) != manifest.trials:
-        raise DatasetError(
+        raise ValueError(
             f"{manifest_path}: manifest declares {manifest.trials} trials, "
             f"got {len(paths)} data files"
         )
@@ -399,9 +403,9 @@ def _load_trial_files(manifest: Manifest, manifest_path, data_paths) -> TrialSet
     def load_checked(p: Path) -> np.ndarray:
         m = load_matrix(p)
         if m.shape[0] != manifest.sensors:
-            raise DatasetError(f"{p}: expected {manifest.sensors} rows, found {m.shape[0]}")
+            raise ValueError(f"{p}: expected {manifest.sensors} rows, found {m.shape[0]}")
         if m.shape[1] != total:
-            raise DatasetError(f"{p}: expected {total} columns, found {m.shape[1]}")
+            raise ValueError(f"{p}: expected {total} columns, found {m.shape[1]}")
         return m
 
     return TrialSet(_fanout(load_checked, paths), manifest.pre_samples)

@@ -17,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import StructureError
-from .filters import Family, _check_param, _frozen, make_filter
+from .filters import Family, _check_param, _frozen, _is_integer, make_filter
 from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
 
 __all__ = [
@@ -78,7 +77,7 @@ class SensorEstimate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
         if not 0 <= self.wavelet_count <= self.values.size:
-            raise StructureError(
+            raise ValueError(
                 f"{self.wavelet_count} wavelet estimates for {self.values.size} sensors"
             )
 
@@ -103,31 +102,35 @@ class DenoiseConfig:
     threshold: bool = False
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.scales):
+            raise ValueError(f"scales must be an integer, got {self.scales!r}")
         if self.scales < 1:
             raise ValueError(f"scales must be >= 1, got {self.scales}")
         _check_param(self.family, self.param)  # a bad zero count fails here, not after loading
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode member, got {self.mode!r}")
+        if not isinstance(self.threshold, bool):
+            raise ValueError(f"threshold must be a bool, got {self.threshold!r}")
 
 
 def concatenate_post_stimulus(trial, pre: int, post: int) -> np.ndarray:
     """Concatenate the post-stimulus rows sensor-major: out[k*post + t] = trial[k][pre+t]."""
     m = np.asarray(trial, dtype=np.float64)
     if m.ndim != 2:
-        raise StructureError(f"trial must be a 2-D matrix, got shape {m.shape}")
+        raise ValueError(f"trial must be a 2-D matrix, got shape {m.shape}")
     if pre < 0 or post < 1 or m.shape[1] != pre + post:
-        raise StructureError(
-            f"trial has {m.shape[1]} columns, expected pre + post = {pre} + {post}"
-        )
+        raise ValueError(f"trial has {m.shape[1]} columns, expected pre + post = {pre} + {post}")
     return m[:, pre:].reshape(-1)
 
 
 @contextmanager
 def _overflow_is_an_error(stage: str):
-    """Raise StructureError where ``stage`` overflows float64; nan and inf stay quiet."""
+    """Raise ValueError where ``stage`` overflows float64; nan and inf stay quiet."""
     try:
         with np.errstate(over="raise", invalid="ignore"):
             yield
     except FloatingPointError:
-        raise StructureError(f"{stage} overflows the float64 range") from None
+        raise ValueError(f"{stage} overflows the float64 range") from None
 
 
 @_overflow_is_an_error("denoised estimate")
@@ -191,9 +194,11 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
     ``config.mode`` picks one designated trial (``trial_index``, range
     checked) or the fixed trial-order mean over all trials; ``config.threshold``
     picks the approximation or the soft-threshold estimator. An estimate
-    that overflows the float64 range is a ``StructureError``.
+    that overflows the float64 range is a ``ValueError``.
     """
     if config.mode is Mode.SINGLE_TRIAL:
+        if not _is_integer(trial_index):
+            raise ValueError(f"trial index must be an integer, got {trial_index!r}")
         if not 0 <= trial_index < len(trials):  # a negative index is an error, not a wrap
             raise ValueError(f"trial index {trial_index} out of range 0..{len(trials) - 1}")
         estimator = threshold_denoise if config.threshold else denoise_trial
@@ -207,7 +212,7 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
 def average_trials(trials: TrialSet) -> np.ndarray:
     """Element-wise mean across trials over the full pre+post window.
 
-    A trial sum that overflows the float64 range is a ``StructureError``.
+    A trial sum that overflows the float64 range is a ``ValueError``.
     """
     return np.add.reduce(trials.trials, axis=0, initial=0.0) / len(trials)
 

@@ -59,6 +59,7 @@ class FilterPair:
     highpass: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_param(self.family, self.param)
         object.__setattr__(self, "lowpass", _frozen(self.lowpass))
         object.__setattr__(self, "highpass", _frozen(qmf_highpass(self.lowpass)))
 
@@ -95,10 +96,17 @@ def qmf_highpass(lowpass) -> np.ndarray:
     return g
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one, though it subclasses int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_param(family: Family, param: int) -> None:
     """Raise ValueError unless ``family`` is a Family and ``param`` a zero count it can build."""
     if not isinstance(family, Family):
         raise ValueError(f"family must be a Family member, got {family!r}")
+    if not _is_integer(param):
+        raise ValueError(f"param must be an integer, got {param!r}")
     if family is Family.ADJUSTED_HAAR:
         if not 0 <= param <= MAX_ADJUSTED_HAAR_ZEROS:
             raise ValueError(

@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
 from .filters import _frozen
 
 __all__ = ["SnirReport", "snir"]
 
 
 def _check_energy(energy: np.ndarray, what: str) -> None:
-    """Raise StructureError where squaring finite values overflowed to inf."""
+    """Raise ValueError where squaring finite values overflowed to inf."""
     bad = np.flatnonzero(~np.isfinite(energy))
     if bad.size:
-        raise StructureError(f"{what} of sensor {bad[0]} overflows the float64 range")
+        raise ValueError(f"{what} of sensor {bad[0]} overflows the float64 range")
 
 
 @dataclass(frozen=True)
@@ -38,15 +37,15 @@ def snir(y_mean, y_calc) -> SnirReport:
     before taking dB). A sensor with exactly zero error energy yields a
     +inf ratio, which propagates to snir_db; there is no silent clamp.
     A ratio past the float64 range reads +inf too. A nan or inf in either
-    input, or an energy that overflows the float64 range, is a ``StructureError``.
+    input, or an energy that overflows the float64 range, is a ``ValueError``.
     """
     a = np.asarray(y_mean, dtype=np.float64)
     b = np.asarray(y_calc, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
-        raise StructureError(f"matrices must share a 2-D shape, got {a.shape} vs {b.shape}")
+        raise ValueError(f"matrices must share a 2-D shape, got {a.shape} vs {b.shape}")
     for name, m in (("y_mean", a), ("y_calc", b)):
         if not np.isfinite(m).all():
-            raise StructureError(f"{name} holds a non-finite value")
+            raise ValueError(f"{name} holds a non-finite value")
     with np.errstate(over="ignore"):
         signal_energy = np.sum(a * a, axis=1)
         error_energy = np.sum((a - b) ** 2, axis=1)

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, StructureError
 from .filters import FilterPair
 
 __all__ = [
@@ -92,18 +91,16 @@ class Decomposition:
         object.__setattr__(self, "approx", approx)
         object.__setattr__(self, "details", tuple(details))
         if not details or self.length < 1:
-            raise StructureError(
+            raise ValueError(
                 f"need at least one detail band and length >= 1; got "
                 f"{len(details)} bands, length {self.length}"
             )
         lengths = self.lengths
         if approx.size != (expected := (lengths[-1] + 1) // 2):
-            raise StructureError(
-                f"approximation band has {approx.size} samples, expected {expected}"
-            )
+            raise ValueError(f"approximation band has {approx.size} samples, expected {expected}")
         for j, (d, n) in enumerate(zip(details, lengths)):
             if d.size != (n + 1) // 2:
-                raise StructureError(
+                raise ValueError(
                     f"detail band {j} has {d.size} samples, expected {(n + 1) // 2} "
                     f"for level input length {n}"
                 )
@@ -195,7 +192,7 @@ def _checked_signal(signal, levels: int) -> np.ndarray:
     if levels < 1:
         raise ValueError(f"decomposition depth must be >= 1, got {levels}")
     if levels > deepest:
-        raise DepthError(
+        raise ValueError(
             f"depth {levels} is too deep for a length-{x.size} signal; "
             f"max feasible depth is {deepest}"
         )

@@ -33,7 +33,6 @@ from megden.denoise import (
     concatenate_post_stimulus,
     denoise_trial,
 )
-from megden.errors import DatasetError
 from megden.filters import FilterPair, make_filter
 from megden.svgplot import _PALETTE, PlotSpec
 
@@ -59,23 +58,23 @@ def load_matrix_reference(path) -> np.ndarray:
     with open(path, encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
             if any(c in line for c in "_\x1c\x1d\x1e\x1f"):
-                raise DatasetError(f"{path}:{lineno}: malformed row")
+                raise ValueError(f"{path}:{lineno}: malformed row")
             line = line.strip()
             if not line:
-                raise DatasetError(f"{path}:{lineno}: blank line in data file")
+                raise ValueError(f"{path}:{lineno}: blank line in data file")
             try:
                 row = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise DatasetError(f"{path}:{lineno}: malformed row") from None
+                raise ValueError(f"{path}:{lineno}: malformed row") from None
             if width < 0:
                 width = len(row)
             elif len(row) != width:
-                raise DatasetError(
+                raise ValueError(
                     f"{path}:{lineno}: expected {width} columns, got {len(row)}"
                 )
             rows.append(row)
     if not rows:
-        raise DatasetError(f"{path}:1: empty data file")
+        raise ValueError(f"{path}:1: empty data file")
     return np.array(rows, dtype=np.float64)
 
 

@@ -31,7 +31,6 @@ from megden.dataio import (
     write_dataset,
 )
 from megden.denoise import TrialSet
-from megden.errors import DatasetError
 
 MASK = (1 << 64) - 1
 
@@ -251,50 +250,50 @@ def test_load_matrix_error_positions(tmp_path):
     p = tmp_path / "bad.csv"
 
     p.write_text("1,2\n\n3,4\n")
-    with pytest.raises(DatasetError, match=r"bad\.csv:2"):
+    with pytest.raises(ValueError, match=r"bad\.csv:2"):
         load_matrix(p)
 
     p.write_text("1,2\n3,oops\n")
-    with pytest.raises(DatasetError, match=r"bad\.csv:2.*malformed"):
+    with pytest.raises(ValueError, match=r"bad\.csv:2.*malformed"):
         load_matrix(p)
 
     p.write_text("1,2\n3,4,5\n")
-    with pytest.raises(DatasetError, match=r"bad\.csv:2.*columns"):
+    with pytest.raises(ValueError, match=r"bad\.csv:2.*columns"):
         load_matrix(p)
 
     p.write_text("")
-    with pytest.raises(DatasetError, match=r"bad\.csv:1.*empty"):
+    with pytest.raises(ValueError, match=r"bad\.csv:1.*empty"):
         load_matrix(p)
 
     p.write_text("1,2\n \t \n3,4\n")  # whitespace-only, which loadtxt would not skip
-    with pytest.raises(DatasetError, match=r"bad\.csv:2: blank"):
+    with pytest.raises(ValueError, match=r"bad\.csv:2: blank"):
         load_matrix(p)
 
     p.write_bytes(b"1,2\r\n3,4\r\n")
     assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
     p.write_bytes(b"1,2\r\n3,4\r\n5,x\r\n")
-    with pytest.raises(DatasetError, match=r"bad\.csv:3: malformed"):
+    with pytest.raises(ValueError, match=r"bad\.csv:3: malformed"):
         load_matrix(p)
 
     # float()'s digit grouping, and separators that loadtxt strips as whitespace
     for bad in ("1_0,2\n3,4\n", "1,\x1f2\n", "1,2\x1c\n"):
         p.write_text(bad)
-        with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed row"):
+        with pytest.raises(ValueError, match=r"bad\.csv:1: malformed row"):
             load_matrix(p)
 
     for bad in ("nan", "inf", "-inf", "1e400"):
         p.write_text(f"1,2,3\n4,5,{bad}\n")
-        with pytest.raises(DatasetError, match=r"bad\.csv:2:3: non-finite value"):
+        with pytest.raises(ValueError, match=r"bad\.csv:2:3: non-finite value"):
             load_matrix(p)
     p.write_text("1_0,nan\n")  # the malformed cell is named before the non-finite one
-    with pytest.raises(DatasetError, match=r"bad\.csv:1: malformed row"):
+    with pytest.raises(ValueError, match=r"bad\.csv:1: malformed row"):
         load_matrix(p)
 
     p.write_bytes(b"\xef\xbb\xbf1,2\n")  # UTF-8 byte-order mark
-    with pytest.raises(DatasetError, match=r"bad\.csv:1: non-ASCII byte 0xef"):
+    with pytest.raises(ValueError, match=r"bad\.csv:1: non-ASCII byte 0xef"):
         load_matrix(p)
     p.write_bytes(b"1,2\r\n3,4\r5,\xff\n")
-    with pytest.raises(DatasetError, match=r"bad\.csv:3: non-ASCII byte 0xff"):
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-ASCII byte 0xff"):
         load_matrix(p)
 
     with pytest.raises(FileNotFoundError):
@@ -338,15 +337,15 @@ def test_load_matrix_agrees_with_the_reference_on_any_text(tmp_path_factory, tex
     p.write_bytes(text.encode("ascii"))
     try:
         want = load_matrix_reference(p)
-    except DatasetError as exc:
-        with pytest.raises(DatasetError) as got:
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
             load_matrix(p)
         assert str(got.value) == str(exc)
         return
     if np.isfinite(want).all():
         assert np.array_equal(load_matrix(p).view(np.uint64), want.view(np.uint64))
     else:
-        with pytest.raises(DatasetError, match="non-finite value"):
+        with pytest.raises(ValueError, match="non-finite value"):
             load_matrix(p)
 
 
@@ -374,17 +373,17 @@ def test_manifest_validation(tmp_path):
     written = json.loads(p.read_text())
     for key, value in (("unit", "pT"), ("sample_period_ms", 0.0)):
         p.write_text(json.dumps({**written, key: value}))
-        with pytest.raises(DatasetError, match=rf"m\.json: invalid manifest: key '{key}' must be"):
+        with pytest.raises(ValueError, match=rf"m\.json: invalid manifest: key '{key}' must be"):
             load_manifest(p)
 
 
 def test_load_manifest_errors(tmp_path):
     p = tmp_path / "m.json"
     p.write_text("{not json")
-    with pytest.raises(DatasetError, match="invalid JSON"):
+    with pytest.raises(ValueError, match="invalid JSON"):
         load_manifest(p)
     p.write_text(json.dumps({"sensors": 2}))
-    with pytest.raises(DatasetError, match="missing manifest key"):
+    with pytest.raises(ValueError, match="missing manifest key"):
         load_manifest(p)
 
     good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
@@ -392,17 +391,17 @@ def test_load_manifest_errors(tmp_path):
     for key, value in (("trials", True), ("sensors", 8.9), ("sensors", 8.0),
                        ("post_samples", "6")):
         p.write_text(json.dumps({**good, key: value}))
-        with pytest.raises(DatasetError, match=rf"m\.json: .*'{key}' must be an integer"):
+        with pytest.raises(ValueError, match=rf"m\.json: .*'{key}' must be an integer"):
             load_manifest(p)
 
     p.write_bytes(b"\xef\xbb\xbf" + json.dumps(good).encode())
-    with pytest.raises(DatasetError, match=r"m\.json:1: non-ASCII byte 0xef"):
+    with pytest.raises(ValueError, match=r"m\.json:1: non-ASCII byte 0xef"):
         load_manifest(p)
 
     # a repeated key is an error, also in a nested object and with the same value
     for text in ('{"trials": 3, "trials": 3}', '{"unit": {"a": 1, "a": 2}}'):
         p.write_text(text)
-        with pytest.raises(DatasetError, match=r"m\.json: invalid JSON: repeated key '(trials|a)'"):
+        with pytest.raises(ValueError, match=r"m\.json: invalid JSON: repeated key '(trials|a)'"):
             load_manifest(p)
 
 
@@ -415,13 +414,13 @@ def test_unknown_manifest_key_is_an_error(tmp_path):
     for extra in ({"trails": 1}, {"sampel_period_ms": 9, "sensor": 7}, {"Trials": 3}):
         p.write_text(json.dumps({**good, **extra}))
         first = next(iter(extra))
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(ValueError) as info:
             load_manifest(p)
         assert str(info.value) == f"{p}: invalid manifest: unknown key {first!r}"
     # also when the real key is missing: the typo is named, not the absence
     del good["trials"]
     p.write_text(json.dumps({"trails": 3, **good}))
-    with pytest.raises(DatasetError, match=r"m\.json: invalid manifest: unknown key 'trails'"):
+    with pytest.raises(ValueError, match=r"m\.json: invalid manifest: unknown key 'trails'"):
         load_manifest(p)
 
 
@@ -442,7 +441,7 @@ def test_manifest_errors_echo_a_short_excerpt_of_a_long_key_or_value(tmp_path):
     )
     for text, message in cases:
         p.write_text(text)
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(ValueError) as info:
             load_manifest(p)
         assert str(info.value) == f"{p}: {message}"
 
@@ -473,6 +472,25 @@ def test_dataset_without_pre_stimulus_samples_round_trips(tmp_path):
             make(sensors=1, pre_samples=-1, post_samples=1, trials=1)
 
 
+@pytest.mark.parametrize("make", [Manifest, SyntheticConfig])
+@pytest.mark.parametrize("name, value", [("sensors", True), ("trials", 2.0), ("post_samples", "4")])
+def test_a_count_that_is_not_an_integer_is_refused(make, name, value):
+    # unchecked, sensors True would generate one sensor, and trials 2.0 would fail
+    # in the generator with a TypeError, which the CLI does not catch
+    counts = {"sensors": 2, "pre_samples": 1, "post_samples": 4, "trials": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        make(**counts)
+    assert getattr(make(**{**counts, name: np.int64(2)}), name) == 2
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # unchecked, 1.5 would fail in the generator with a TypeError and True would run seed 1
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        SyntheticConfig(seed=seed)
+    assert SyntheticConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
 def test_load_trials_count_checks(tmp_path):
     ts = generate_synthetic(
         SyntheticConfig(seed=8, sensors=3, pre_samples=2, post_samples=4, trials=2)
@@ -480,16 +498,16 @@ def test_load_trials_count_checks(tmp_path):
     write_dataset(ts, tmp_path)
     manifest = tmp_path / MANIFEST_NAME
 
-    with pytest.raises(DatasetError, match="2 trials"):
+    with pytest.raises(ValueError, match="2 trials"):
         load_trials(manifest, [tmp_path / trial_filename(0)])
 
     # a data file whose row count contradicts the manifest
     save_matrix(np.zeros((2, 6)), tmp_path / trial_filename(1))
-    with pytest.raises(DatasetError, match=r"trial_1\.csv.*3 rows"):
+    with pytest.raises(ValueError, match=r"trial_1\.csv.*3 rows"):
         load_dataset(tmp_path)
 
     save_matrix(np.zeros((3, 5)), tmp_path / trial_filename(1))
-    with pytest.raises(DatasetError, match=r"trial_1\.csv.*6 columns"):
+    with pytest.raises(ValueError, match=r"trial_1\.csv.*6 columns"):
         load_dataset(tmp_path)
 
 
@@ -503,7 +521,7 @@ def test_manifest_declaring_more_trials_than_files_fails_at_once(tmp_path, decla
     write_dataset(ts, tmp_path)
     manifest = tmp_path / MANIFEST_NAME
     manifest.write_text(manifest.read_text().replace('"trials": 2', f'"trials": {declared}'))
-    with pytest.raises(DatasetError, match=f"manifest declares {declared} trials, got 2 data files"):
+    with pytest.raises(ValueError, match=f"manifest declares {declared} trials, got 2 data files"):
         load_dataset(tmp_path)
 
 
@@ -513,7 +531,7 @@ def test_manifest_unit_and_period_are_strict(tmp_path):
     good = {"sensors": 4, "pre_samples": 2, "post_samples": 6, "trials": 3,
             "unit": "fT", "sample_period_ms": 1.0}
     p.write_text(json.dumps({**good, "sample_period_ms": 2}))
-    with pytest.raises(DatasetError) as info:
+    with pytest.raises(ValueError) as info:
         load_manifest(p)
     assert str(info.value) == f"{p}: invalid manifest: key 'sample_period_ms' must be 1.0, got 2"
     p.write_text(json.dumps({**good, "sample_period_ms": 1}))  # JSON 1 is the number 1.0
@@ -529,29 +547,29 @@ def test_manifest_unit_and_period_are_strict(tmp_path):
     )
     for key, value, want in cases:
         p.write_text(json.dumps({**good, key: value}))
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(ValueError) as info:
             load_manifest(p)
         got = json.dumps(value)
         assert str(info.value) == f"{p}: invalid manifest: key {key!r} must be {want}, got {got}"
     # NaN and Infinity are JSON extensions that the json module accepts
     for literal in ("0", "-1.5", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         p.write_text(json.dumps(good).replace("1.0", literal))
-        with pytest.raises(DatasetError, match=r"m\.json: invalid manifest: key 'sample_period_ms' "
+        with pytest.raises(ValueError, match=r"m\.json: invalid manifest: key 'sample_period_ms' "
                                                r"must be 1\.0, got "):
             load_manifest(p)
     # a count's type is checked first, then the fixed keys, then the count's range
     for bad_count, named in ((8.5, "sensors"), (0, "unit")):
         p.write_text(json.dumps({**good, "sensors": bad_count, "unit": "pT"}))
-        with pytest.raises(DatasetError, match=rf"m\.json: invalid manifest: key '{named}' must"):
+        with pytest.raises(ValueError, match=rf"m\.json: invalid manifest: key '{named}' must"):
             load_manifest(p)
     for text in ("[1, 2]", '"fT"', "7", "null"):
         p.write_text(text)
-        with pytest.raises(DatasetError, match=r"m\.json: manifest must be a JSON object"):
+        with pytest.raises(ValueError, match=r"m\.json: manifest must be a JSON object"):
             load_manifest(p)
     # json raises ValueError and RecursionError, not JSONDecodeError, for these
     for text in ('{"sensors": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
         p.write_text(text)
-        with pytest.raises(DatasetError, match=r"m\.json: invalid JSON"):
+        with pytest.raises(ValueError, match=r"m\.json: invalid JSON"):
             load_manifest(p)
 
 
@@ -593,7 +611,7 @@ def test_any_manifest_text_loads_or_raises_dataset_error(tmp_path_factory, doc):
             p.write_text(json.dumps({**json.loads(p.read_text()), key: value}))
     try:
         m = load_manifest(p)
-    except DatasetError as exc:
+    except ValueError as exc:
         assert str(exc).startswith(str(p))
     else:
         # what loads is the four counts beside the two fixed values, and nothing else
@@ -647,7 +665,7 @@ def test_first_error_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     messages = set()
     for workers in WORKER_COUNTS:
         stub_mask(monkeypatch, workers)
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(ValueError) as err:
             load_dataset(tmp_path)
         messages.add(str(err.value))
     assert messages == {f"{tmp_path / trial_filename(3)}:2: malformed row"}
@@ -656,7 +674,7 @@ def test_first_error_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     save_matrix(np.zeros((3, 7)), tmp_path / trial_filename(7))
     for workers in WORKER_COUNTS:
         stub_mask(monkeypatch, workers)
-        with pytest.raises(DatasetError, match=r"trial_7\.csv: expected 4 rows, found 3"):
+        with pytest.raises(ValueError, match=r"trial_7\.csv: expected 4 rows, found 3"):
             load_dataset(tmp_path)
 
 

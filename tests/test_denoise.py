@@ -25,7 +25,6 @@ from megden.denoise import (
     threshold_denoise,
 )
 import megden.denoise as denoise_module
-from megden.errors import StructureError
 from megden.filters import Family, make_filter
 from megden.transform import Decomposition, dwt_analyze, dwt_synthesize, max_decomposition_depth
 
@@ -48,9 +47,9 @@ def test_concatenate_layout():
 
 
 def test_concatenate_rejects_mismatched_window():
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"^trial has 5 columns, expected pre \+ post = 1 \+ 3$"):
         concatenate_post_stimulus(np.zeros((2, 5)), pre=1, post=3)
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"^trial must be a 2-D matrix, got shape \(6,\)$"):
         concatenate_post_stimulus(np.zeros(6), pre=1, post=2)
 
 
@@ -90,7 +89,7 @@ def test_estimate_drops_surplus_coefficients():
 
 def test_estimate_rejects_bad_shapes():
     trial = np.zeros((3, 4))
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=r"^trial has 4 columns, expected pre \+ post = 0 \+ 5$"):
         estimate_sensors(trial, HAAR0, 0, 5)  # window longer than trial
 
 
@@ -228,6 +227,18 @@ def test_mode_dispatch():
         denoise_dataset(ts, single, trial_index=len(ts))
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+def test_a_trial_index_that_is_not_an_integer_is_refused(index):
+    # unchecked, True would index as a new axis, and 1.0 would raise numpy's IndexError,
+    # which is not a ValueError
+    ts = small_trial_set(seed=5)
+    single = DenoiseConfig(family=Family.DAUBECHIES4, scales=2, mode=Mode.SINGLE_TRIAL)
+    with pytest.raises(ValueError, match=f"^trial index must be an integer, got {index!r}$"):
+        denoise_dataset(ts, single, trial_index=index)
+    got = denoise_dataset(ts, single, trial_index=np.int64(1))
+    assert got.tobytes() == denoise_dataset(ts, single, trial_index=1).tobytes()
+
+
 def test_average_trials_matches_numpy_mean():
     ts = small_trial_set(seed=9)
     got = average_trials(ts)
@@ -361,7 +372,8 @@ def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, ba
                     assert not np.isfinite(threshold_denoise(ts.trials[1], config, pre, post)).all()
                     try:
                         out = denoise_dataset(ts, config)
-                    except StructureError:
+                    except ValueError as exc:
+                        assert str(exc) == "denoised estimate overflows the float64 range"
                         continue
                 assert not np.isfinite(out).all()
 
@@ -418,7 +430,7 @@ def test_each_exported_estimator_turns_overflow_into_a_structure_error(signs, es
     config = DenoiseConfig(Family.DAUBECHIES4, scales=2)
     with warnings.catch_warnings():  # a leaked numpy RuntimeWarning fails the test
         warnings.simplefilter("error")
-        with pytest.raises(StructureError, match="^denoised estimate overflows the float64 range$"):
+        with pytest.raises(ValueError, match="^denoised estimate overflows the float64 range$"):
             estimator(ts, config)
 
 
@@ -431,7 +443,7 @@ def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(thr
         warnings.simplefilter("error")
         estimator = threshold_denoise if threshold else denoise_trial
         assert np.isfinite(estimator(ts.trials[0], config, 2, 40)).all()
-        with pytest.raises(StructureError, match="^denoised estimate overflows the float64 range$"):
+        with pytest.raises(ValueError, match="^denoised estimate overflows the float64 range$"):
             denoise_multi(ts, config)
 
 
@@ -459,7 +471,7 @@ def test_trialset_validation():
 
 def test_sensor_estimate_validation():
     for count in (5, -1):
-        with pytest.raises(StructureError):
+        with pytest.raises(ValueError, match=f"^{count} wavelet estimates for 3 sensors$"):
             SensorEstimate(np.zeros(3), count)
     assert SensorEstimate(np.zeros(3), 1).mean_filled_count == 2
 

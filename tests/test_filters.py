@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,60 @@ def test_a_family_that_is_not_a_family_member_is_refused(family):
         make_filter(family, param)
     with pytest.raises(ValueError, match=f"family must be a Family member, got {family!r}"):
         DenoiseConfig(family=family, param=param)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: DenoiseConfig(Family.DAUBECHIES4, mode="single"),
+            "mode must be a Mode member, got 'single'",
+        ),
+        (
+            lambda: DenoiseConfig(Family.DAUBECHIES4, mode=None),
+            "mode must be a Mode member, got None",
+        ),
+        (
+            lambda: DenoiseConfig(Family.DAUBECHIES4, threshold="no"),
+            "threshold must be a bool, got 'no'",
+        ),
+        (lambda: DenoiseConfig(Family.DAUBECHIES4, threshold=1), "threshold must be a bool, got 1"),
+        (
+            lambda: DenoiseConfig(Family.DAUBECHIES4, scales=True),
+            "scales must be an integer, got True",
+        ),
+        (
+            lambda: DenoiseConfig(Family.DAUBECHIES4, scales=2.0),
+            "scales must be an integer, got 2.0",
+        ),
+        (
+            lambda: DenoiseConfig(Family.ADJUSTED_HAAR, param=True),
+            "param must be an integer, got True",
+        ),
+        (lambda: make_filter(Family.ADJUSTED_HAAR, 2.0), "param must be an integer, got 2.0"),
+        (lambda: make_filter(Family.DAUBECHIES4, False), "param must be an integer, got False"),
+        (lambda: FilterPair("db4", 0, [1.0, 1.0]), "family must be a Family member, got 'db4'"),
+        (
+            lambda: FilterPair(Family.ADJUSTED_HAAR, "0", [1, 1]),
+            "param must be an integer, got '0'",
+        ),
+        (
+            lambda: FilterPair(Family.DAUBECHIES4, 1, ALL_PAIRS[0].lowpass),
+            "db4 takes no zero-count parameter, got 1",
+        ),
+    ],
+)
+def test_a_setting_of_the_wrong_type_is_refused(build, message):
+    # unchecked, mode "single" would average every trial, threshold "no" would run
+    # the threshold estimator, and scales True would run one level
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_settings_are_accepted():
+    config = DenoiseConfig(Family.ADJUSTED_HAAR, param=np.int64(2), scales=np.int32(3))
+    pair = make_filter(config.family, config.param)
+    assert np.array_equal(pair.lowpass, make_filter(Family.ADJUSTED_HAAR, 2).lowpass)
 
 
 def test_make_filter_rejects_param_for_fixed_families():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import dwt_analyze_reference, dwt_synthesize_reference, synthesize_step_reference
 
-from megden.errors import DepthError, StructureError
 from megden.filters import Family, FilterPair, make_filter
 from megden.transform import (
     Decomposition,
@@ -276,7 +275,7 @@ def test_max_decomposition_depth_matches_ceil_halving():
 @pytest.mark.parametrize("analyze", [dwt_analyze, dwt_approx])
 def test_analyze_depth_error_names_limit(analyze):
     want = "^depth 5 is too deep for a length-16 signal; max feasible depth is 4$"
-    with pytest.raises(DepthError, match=want):
+    with pytest.raises(ValueError, match=want):
         analyze(np.zeros(16), make_filter(Family.DAUBECHIES4), levels=5)
 
 
@@ -310,27 +309,29 @@ def test_a_non_finite_sample_leaves_the_approximation_non_finite(pair, bad):
 def test_synthesize_rejects_inconsistent_structure():
     pair = make_filter(Family.DAUBECHIES4)
     dec = dwt_analyze(np.arange(16.0), pair, levels=2)
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match="^approximation band has 5 samples, expected 4$"):
         Decomposition(np.zeros(dec.approx.size + 1), dec.details, dec.length)
-    with pytest.raises(StructureError):
+    short = "^detail band 0 has 7 samples, expected 8 for level input length 16$"
+    with pytest.raises(ValueError, match=short):
         Decomposition(dec.approx, (dec.details[0][:-1], dec.details[1]), dec.length)
 
 
 def test_synthesize_checks_bands_against_the_derived_lengths():
     # length 15 derives lengths (15, 8): these bands rebuild exactly 15 samples, and
-    # a band of another size is a StructureError, not a numpy broadcast error
+    # a band of another size is a ValueError naming the band, not a numpy broadcast error
     for fill in (np.zeros, np.ones):
         dec = Decomposition(fill(4), (fill(8), fill(4)), 15)
         assert dec.lengths == (15, 8)
         assert dwt_synthesize(dec, make_filter(Family.DAUBECHIES4)).size == 15
-        with pytest.raises(StructureError, match="^detail band 1 has 3 samples, expected 4"):
+        with pytest.raises(ValueError, match="^detail band 1 has 3 samples, expected 4"):
             Decomposition(fill(4), (fill(8), fill(3)), 15)
 
 
 def test_decomposition_needs_a_detail_band_and_a_length():
-    with pytest.raises(StructureError):
+    need = "^need at least one detail band and length >= 1; got"
+    with pytest.raises(ValueError, match=f"{need} 0 bands, length 16$"):
         Decomposition(np.zeros(4), (), 16)
-    with pytest.raises(StructureError):
+    with pytest.raises(ValueError, match=f"{need} 1 bands, length 0$"):
         Decomposition(np.zeros(0), (np.zeros(0),), 0)
 
 
@@ -361,7 +362,7 @@ def test_synthesis_of_bands_sized_by_lengths_returns_length_samples(length, leve
         bad = np.zeros(bands[wrong].size + delta)
         bands = bands[:wrong] + (bad,) + bands[wrong + 1 :]
         name, size = f"detail band {wrong}", bad.size
-    with pytest.raises(StructureError, match=f"^{name} has {size} samples, expected "):
+    with pytest.raises(ValueError, match=f"^{name} has {size} samples, expected "):
         Decomposition(top, bands, length)
 
 
