@@ -63,6 +63,11 @@ def _check_counts(config) -> None:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _is_real(value) -> bool:
+    """True for a Python or numpy integer or float; a bool is not one, as for the counts."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Manifest:
     """Dataset geometry, written as manifest.json with the format constants ``_FIXED``.
@@ -101,8 +106,11 @@ class SyntheticConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         _check_counts(self)
         for name in ("noise_sigma", "response_amp", "response_freq_hz", "response_decay_ms"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.response_decay_ms <= 0:
@@ -192,10 +200,18 @@ def save_matrix(matrix, path) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
-    row_format = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    columns = m.shape[1]
+    row_format = ",".join(["%.17g"] * columns) + "\n"
+    # A row of one 64-bit pattern is formatted once: each row of an approximation
+    # estimate is. Bits, not values, so 0.0 beside -0.0 goes value by value.
+    bits = m.view(np.int64)
+    constant = (bits[:, 1:] == bits[:, :1]).all(axis=1) & (columns > 0)
     with open(path, "w", encoding="ascii") as f:
-        for row in m:  # one row in flight keeps memory flat for any matrix size
-            f.write(row_format % tuple(row.tolist()))
+        for row, same in zip(m, constant.tolist()):  # one row in flight keeps memory flat
+            if same:
+                f.write(",".join(["%.17g" % row[0]] * columns) + "\n")
+            else:
+                f.write(row_format % tuple(row.tolist()))
 
 
 def _read_ascii(path: Path) -> str:
@@ -207,7 +223,9 @@ def _read_ascii(path: Path) -> str:
         head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1
         raise ValueError(f"{path}:{line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:  # a scan for one character is cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _line_error(path: Path, lines: list[str]) -> ValueError:
@@ -279,8 +297,9 @@ def _unique_keys(pairs: list) -> dict:
 def load_manifest(path) -> Manifest:
     """The four counts; another ``unit`` than "fT" or ``sample_period_ms`` than 1 is refused."""
     path = Path(path)
+    text = _read_ascii(path)  # its error names the file and line already
     try:
-        raw = json.loads(_read_ascii(path), object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # a repeated key, huge integer, deep nesting

@@ -116,12 +116,11 @@ def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:
         )
 
     opacity = 0.9 if k <= 8 else 0.4
-    points_format = " ".join(["%.2f,%.2f"] * t)
-    xy = np.empty(2 * t)
-    xy[0::2] = xs
+    # Every polyline shares its x coordinates, so they are formatted once into the format.
+    points_format = " ".join("%.2f,%%.2f" % x for x in xs.tolist())
     for i in range(k):
-        xy[1::2] = top + (y_hi - m[i] * s) / (y_hi - y_lo) * inner_h
-        points = points_format % tuple(xy.tolist())
+        ys = top + (y_hi - m[i] * s) / (y_hi - y_lo) * inner_h
+        points = points_format % tuple(ys.tolist())
         color = _PALETTE[i % len(_PALETTE)]
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="0.8" '

@@ -1,8 +1,9 @@
 """Straight-loop reference implementations of megden's text I/O, kernels and trial means.
 
-The library writes CSV with one format string per row, parses it with
-``np.loadtxt`` and formats SVG points with one format string per
-polyline. These per-value versions are the semantic references the
+The library writes CSV with one format string per row (a row of one
+repeated value formats it once), parses it with ``np.loadtxt`` and
+formats SVG points with one format string per polyline, the x
+coordinates already filled in. These per-value versions are the semantic references the
 tests hold those fast paths to, byte for byte and bit for bit. The
 threshold mean is the per-trial loop that ``denoise --threshold`` ran
 before it went through ``denoise_dataset``, over the threshold estimator

@@ -476,18 +476,40 @@ def test_cli_import_stays_light():
     assert out.stdout.strip() == "[]"
 
 
+def entry_env() -> dict:
+    """The environment minus PYTHONUNBUFFERED, which would hide stdout's buffer."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "d"
     gen = subprocess.run(
         [sys.executable, "-m", "megden", "gen", "--seed", "1", "--out", str(out), *GEN_SMALL],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=entry_env(), timeout=120,
     )
-    assert gen.returncode == 0
-    assert "wrote 3 files" in gen.stdout
+    assert (gen.returncode, gen.stdout, gen.stderr) == (0, f"wrote 3 files to {out}\n", "")
     bad = subprocess.run(
         [sys.executable, "-m", "megden", "plot", "--in", str(out / "nope.csv"),
          "--out", str(out / "x.svg")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=entry_env(), timeout=120,
     )
     assert bad.returncode == 1
-    assert bad.stderr.startswith("megden: error:")
+    assert len(bad.stderr.splitlines()) == 1
+    assert bad.stderr.startswith("megden: error:") and bad.stdout == ""
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    ref = tmp_path / "ref.csv"
+    save_matrix(np.ones((3, 4)), ref)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        snir = subprocess.run(
+            [sys.executable, "-m", "megden", "snir", "--mean", str(ref), "--calc", str(ref)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=entry_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert snir.returncode == 1
+    assert snir.stderr.startswith("megden: error:") and len(snir.stderr.splitlines()) == 1
+    assert "Traceback" not in snir.stderr and "Exception ignored" not in snir.stderr

@@ -233,6 +233,16 @@ def test_synthetic_config_validation():
         SyntheticConfig(response_decay_ms=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("noise_sigma", "40"), ("response_freq_hz", None), ("response_amp", True),
+     ("response_decay_ms", np.bool_(True)), ("noise_sigma", 1 + 0j)],
+)
+def test_synthetic_config_refuses_a_setting_that_is_not_a_real_number(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "):
+        SyntheticConfig(**{name: value})
+
+
 def test_matrix_round_trip_is_lossless(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.normal(size=(7, 13)) * 10.0 ** rng.integers(-8, 8, size=(7, 13))
@@ -327,6 +337,39 @@ def test_csv_fast_paths_match_the_reference(tmp_path_factory, m):
     assert np.array_equal(back.view(np.uint64), load_matrix_reference(fast).view(np.uint64))
 
 
+NAN_PAYLOAD = float(np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64))
+any_values = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, NAN_PAYLOAD])
+
+
+@st.composite
+def matrices_with_repeated_values(draw):
+    """Rows that are constant, constant but for the last value, signed zeros, or free."""
+    columns = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["constant", "last", "zeros", "free"]))
+        if kind == "zeros":
+            row = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=columns, max_size=columns))
+        elif kind == "free":
+            row = draw(st.lists(any_values, min_size=columns, max_size=columns))
+        else:
+            row = [draw(any_values)] * columns
+            if kind == "last" and columns:
+                row[-1] = draw(any_values)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices_with_repeated_values())
+def test_save_matrix_matches_the_per_value_reference(tmp_path_factory, m):
+    # non-finite values too: `snir --ratios` writes inf
+    d = tmp_path_factory.mktemp("csv")
+    save_matrix(m, d / "fast.csv")
+    save_matrix_reference(m, d / "ref.csv")
+    assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
 csv_text = st.text(alphabet="0123456789.,-+e_ainf \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=40)
 
 
@@ -403,6 +446,15 @@ def test_load_manifest_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=r"m\.json: invalid JSON: repeated key '(trials|a)'"):
             load_manifest(p)
+
+
+def test_non_ascii_manifest_byte_is_the_readers_error(tmp_path):
+    # named once, with its line, and not wrapped as invalid JSON
+    p = tmp_path / "m.json"
+    p.write_bytes(b'{"sensors": 4}\xef')
+    with pytest.raises(ValueError) as exc:
+        load_manifest(p)
+    assert str(exc.value) == f"{p}:1: non-ASCII byte 0xef"
 
 
 def test_unknown_manifest_key_is_an_error(tmp_path):

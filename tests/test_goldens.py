@@ -21,8 +21,9 @@ from megden.dataio import (
     save_matrix,
     write_dataset,
 )
-from megden.denoise import DenoiseConfig, Mode, denoise_dataset
+from megden.denoise import DenoiseConfig, Mode, average_trials, denoise_dataset
 from megden.filters import Family
+from megden.svgplot import PlotSpec, render_traces
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
 FAMILIES = {
@@ -49,6 +50,29 @@ def test_manifest_bytes_match_golden(trials, tmp_path):
     write_dataset(trials, tmp_path)
     got = hashlib.sha256((tmp_path / MANIFEST_NAME).read_bytes()).hexdigest()
     assert got == "c5fc9bf4b660969f04f716f39b7aeca224284c1cb4b36e38c71c694662156b17"
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_trial_files_match_golden(trials, tmp_path):
+    write_dataset(trials, tmp_path)
+    got = {p.name: sha256_file(p) for p in tmp_path.glob("trial_*.csv")}
+    assert got == {k: v for k, v in GOLDEN["cli_chain"].items() if k.startswith("trial_")}
+
+
+def test_average_csv_matches_golden(trials, tmp_path):
+    # `average` writes the post-stimulus window by default
+    save_matrix(average_trials(trials)[:, trials.pre_samples :], tmp_path / "avg.csv")
+    assert sha256_file(tmp_path / "avg.csv") == GOLDEN["cli_chain"]["avg.csv"]
+
+
+def test_plot_svg_matches_golden(trials):
+    # `plot --in den.csv` titles the plot with the input's stem
+    den = denoise_dataset(trials, DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2, scales=8))
+    svg = render_traces(den, PlotSpec(title="den")).encode("ascii")
+    assert hashlib.sha256(svg).hexdigest() == GOLDEN["cli_chain"]["den.svg"]
 
 
 @pytest.mark.parametrize("name,threshold", [("den.csv", False), ("thr.csv", True)])
