@@ -41,26 +41,24 @@ def _config_from_args(args) -> denoise.DenoiseConfig:
     )
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> str:
     config = dataio.SyntheticConfig(
         **{f.name: getattr(args, f.name) for f in fields(dataio.SyntheticConfig)}
     )
     written = dataio.write_dataset(dataio.generate_synthetic(config), args.out)
-    print(f"wrote {len(written)} files to {args.out}")
-    return 0
+    return f"wrote {len(written)} files to {args.out}"
 
 
-def cmd_average(args) -> int:
+def cmd_average(args) -> str:
     trials = dataio.load_dataset(args.data)
     avg = denoise.average_trials(trials)
     if args.window == "post":
         avg = avg[:, trials.pre_samples :]
     dataio.save_matrix(avg, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return f"wrote {args.out}"
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args) -> str:
     config = _config_from_args(args)
     if args.trial is not None and config.mode is not denoise.Mode.SINGLE_TRIAL:
         raise ValueError("--trial applies only to --mode single")
@@ -69,39 +67,36 @@ def cmd_denoise(args) -> int:
         trials, config, trial_index=0 if args.trial is None else args.trial
     )
     dataio.save_matrix(result, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return f"wrote {args.out}"
 
 
-def cmd_snir(args) -> int:
+def cmd_snir(args) -> str:
     report = metrics.snir(dataio.load_matrix(args.mean), dataio.load_matrix(args.calc))
-    if args.ratios:  # written first, so a failed write leaves stdout empty
+    if args.ratios:
         dataio.save_matrix(report.per_sensor_ratio[:, None], args.ratios)
-    print(f"{report.snir_db:.2f} dB")
-    return 0
+    return f"{report.snir_db:.2f} dB"
 
 
-def cmd_filters(args) -> int:
+def cmd_filters(args) -> str:
     pair = make_filter(*_wavelet_from_args(args))
     classic_h, classic_g = classical_convention(pair)
-    print(f"family: {pair.family.value} (param {pair.param}, {len(pair)} taps)")
+    lines = [f"family: {pair.family.value} (param {pair.param}, {len(pair)} taps)"]
     for label, values in (
         ("lowpass  (orthonormal)", pair.lowpass),
         ("highpass (orthonormal)", pair.highpass),
         ("lowpass  (classical)  ", classic_h),
         ("highpass (classical)  ", classic_g),
     ):
-        print(f"{label}: " + ", ".join(format(v, ".17g") for v in values))
-    return 0
+        lines.append(f"{label}: " + ", ".join(format(v, ".17g") for v in values))
+    return "\n".join(lines)
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> str:
     matrix = dataio.load_matrix(args.infile)
     title = args.title if args.title is not None else Path(args.infile).stem
     spec = PlotSpec(title=title, width=args.width, height=args.height)
-    Path(args.out).write_text(render_traces(matrix, spec), encoding="ascii")
-    print(f"wrote {args.out}")
-    return 0
+    dataio._write_text(args.out, [render_traces(matrix, spec)])
+    return f"wrote {args.out}"
 
 
 def _add_wavelet_flags(p: argparse.ArgumentParser) -> None:
@@ -186,12 +181,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: print its report and return 0, or write one error line and return 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"megden: error: {exc}", file=sys.stderr)
-        return 1
+        message = exc
     except MemoryError as exc:
-        print(f"megden: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 1
+        message = f"out of memory: {str(exc) or 'allocation failed'}"
+    else:
+        try:  # flushed here, so a pipe with no reader fails here, buffered or not
+            print(report, flush=True)
+            return 0
+        except (OSError, ValueError) as exc:
+            message = f"stdout: {exc}"
+    try:
+        print(f"megden: error: {message}", file=sys.stderr)
+    except (OSError, ValueError):  # a closed stderr leaves only the exit code
+        pass
+    return 1

@@ -206,12 +206,22 @@ def save_matrix(matrix, path) -> None:
     # estimate is. Bits, not values, so 0.0 beside -0.0 goes value by value.
     bits = m.view(np.int64)
     constant = (bits[:, 1:] == bits[:, :1]).all(axis=1) & (columns > 0)
-    with open(path, "w", encoding="ascii") as f:
-        for row, same in zip(m, constant.tolist()):  # one row in flight keeps memory flat
-            if same:
-                f.write(",".join(["%.17g" % row[0]] * columns) + "\n")
-            else:
-                f.write(row_format % tuple(row.tolist()))
+    _write_text(path, (  # one row in flight keeps memory flat
+        ",".join(["%.17g" % row[0]] * columns) + "\n" if same
+        else row_format % tuple(row.tolist())
+        for row, same in zip(m, constant.tolist())
+    ))
+
+
+def _write_text(path, parts) -> None:
+    """Write ASCII ``parts`` to ``path``; an ``OSError`` names ``path``, a partial file stays."""
+    try:
+        with open(path, "w", encoding="ascii") as f:
+            f.writelines(parts)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _read_ascii(path: Path) -> str:
@@ -274,9 +284,7 @@ def load_matrix(path) -> np.ndarray:
 
 def save_manifest(manifest: Manifest, path) -> None:
     """Write the four counts, then ``unit`` "fT" and ``sample_period_ms`` 1.0."""
-    with open(path, "w", encoding="ascii") as f:
-        json.dump({**asdict(manifest), **_FIXED}, f, indent=2)
-        f.write("\n")
+    _write_text(path, [json.dumps({**asdict(manifest), **_FIXED}, indent=2) + "\n"])
 
 
 def _excerpt(text: str, limit: int = 40) -> str:

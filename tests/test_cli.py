@@ -498,18 +498,79 @@ def test_module_entry_point(tmp_path):
     assert bad.stderr.startswith("megden: error:") and bad.stdout == ""
 
 
-def test_closed_stdout_is_one_error_line(tmp_path):
+def run_entry(argv, env, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    return subprocess.run(
+        [sys.executable, "-m", "megden", *argv],
+        stdout=stdout, stderr=stderr, text=True, env=env, timeout=120,
+    )
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose reader is gone: every write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["snir", "filters"])  # filters prints five lines
+def test_closed_stdout_is_one_error_line(tmp_path, command, unbuffered):
     ref = tmp_path / "ref.csv"
     save_matrix(np.ones((3, 4)), ref)
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # every write to stdout now fails with EPIPE
+    argv = {"snir": ["snir", "--mean", str(ref), "--calc", str(ref)], "filters": ["filters"]}
+    env = entry_env() if unbuffered is None else {**entry_env(), "PYTHONUNBUFFERED": unbuffered}
+    stdout = closed_pipe()
     try:
-        snir = subprocess.run(
-            [sys.executable, "-m", "megden", "snir", "--mean", str(ref), "--calc", str(ref)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=entry_env(), timeout=120,
-        )
+        run = run_entry(argv[command], env, stdout=stdout)
     finally:
-        os.close(write_end)
-    assert snir.returncode == 1
-    assert snir.stderr.startswith("megden: error:") and len(snir.stderr.splitlines()) == 1
-    assert "Traceback" not in snir.stderr and "Exception ignored" not in snir.stderr
+        os.close(stdout)
+    assert (run.returncode, run.stderr) == (1, "megden: error: stdout: [Errno 32] Broken pipe\n")
+
+
+def test_closed_stdout_and_stderr_exit_one():
+    stdout, stderr = closed_pipe(), closed_pipe()
+    try:
+        run = run_entry(["filters"], entry_env(), stdout=stdout, stderr=stderr)
+    finally:
+        os.close(stdout)
+        os.close(stderr)
+    assert run.returncode == 1
+
+
+# Run in a child: ignore SIGXFSZ, so a write past the limit fails with EFBIG,
+# and cap the file size, in the child itself or (for gen) only in the pool's
+# forked workers, then run the ``megden`` entry on the child's argv.
+FSIZE_CHILD = """
+import os, resource, signal, sys
+from megden import dataio
+from megden.__main__ import run
+
+def cap():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (256, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+if sys.argv[1] == "gen":
+    dataio._worker_count = lambda: 2
+    os.register_at_fork(after_in_child=cap)
+else:
+    cap()
+run()
+"""
+
+
+@pytest.mark.parametrize("command", ["average", "plot", "gen"])
+def test_write_cut_by_the_file_size_limit_names_its_file(dataset, tmp_path, command):
+    out = {"average": tmp_path / "avg.csv", "plot": tmp_path / "avg.svg",
+           "gen": tmp_path / "d" / "trial_1.csv"}[command]  # gen's worker writes trial 1
+    argv = {
+        "average": ["average", "--data", str(dataset), "--out", str(out)],
+        "plot": ["plot", "--in", str(dataset / "trial_0.csv"), "--out", str(out)],
+        "gen": ["gen", "--out", str(out.parent), *GEN_SMALL],
+    }[command]
+    run = subprocess.run(
+        [sys.executable, "-c", FSIZE_CHILD, *argv],
+        capture_output=True, text=True, env=entry_env(), timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"megden: error: [Errno 27] File too large: '{out}'\n"
+    assert out.stat().st_size == 256  # the partial file remains
