@@ -8,10 +8,9 @@ from .cli import main
 def run() -> None:
     """Run ``main()``, then end the process without the interpreter's teardown.
 
-    ``main()`` has closed every file megden writes, flushed the report and
-    written any error line to the line-buffered stderr, so the final
-    collection and module teardown would cost time and write no byte. An
-    exception or ``SystemExit`` out of ``main()`` leaves the usual way.
+    ``main()`` has closed every file megden writes, flushed the report or help
+    and written any error line to the line-buffered stderr, so the final
+    collection and module teardown would cost time and write no byte.
     """
     os._exit(main())
 

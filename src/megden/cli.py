@@ -33,14 +33,6 @@ def _wavelet_from_args(args) -> tuple[Family, int]:
     return family, 0
 
 
-def _config_from_args(args) -> denoise.DenoiseConfig:
-    family, param = _wavelet_from_args(args)
-    mode = denoise.Mode(args.mode)
-    return denoise.DenoiseConfig(
-        family=family, param=param, scales=args.scales, mode=mode, threshold=args.threshold
-    )
-
-
 def cmd_gen(args) -> str:
     config = dataio.SyntheticConfig(
         **{f.name: getattr(args, f.name) for f in fields(dataio.SyntheticConfig)}
@@ -59,7 +51,10 @@ def cmd_average(args) -> str:
 
 
 def cmd_denoise(args) -> str:
-    config = _config_from_args(args)
+    config = denoise.DenoiseConfig(
+        *_wavelet_from_args(args), scales=args.scales, mode=denoise.Mode(args.mode),
+        threshold=args.threshold,
+    )
     if args.trial is not None and config.mode is not denoise.Mode.SINGLE_TRIAL:
         raise ValueError("--trial applies only to --mode single")
     trials = dataio.load_dataset(args.data)
@@ -107,10 +102,22 @@ def _add_wavelet_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Help(Exception):
+    """The help text that ``-h`` asks for; ``main`` prints it as the report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises where argparse would print and exit."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (see {self.prog} --help)")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help().removesuffix("\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="megden", description="Wavelet multiresolution denoising pipeline"
-    )
+    parser = _Parser(prog="megden", description="Wavelet multiresolution denoising pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a synthetic dataset (manifest + trial CSVs)")
@@ -181,22 +188,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: print its report and return 0, or write one error line and return 1."""
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; no other code writes to the console.
+
+    0: the report, or the help ``-h`` asks for, is on stdout. 1: a refused argv, a failed
+    command or a failed stdout write left one ``megden: error:`` line on stderr. 130:
+    Ctrl-C left ``megden: error: interrupted`` (128 + SIGINT, as a shell reports it).
+    """
+    code = 1
     try:
-        report = args.func(args)
-    except (ValueError, OSError) as exc:
-        message = exc
-    except MemoryError as exc:
-        message = f"out of memory: {str(exc) or 'allocation failed'}"
-    else:
+        try:
+            args = build_parser().parse_args(argv)
+            report = args.func(args)
+        except _Help as text:
+            report = str(text)
         try:  # flushed here, so a pipe with no reader fails here, buffered or not
             print(report, flush=True)
             return 0
         except (OSError, ValueError) as exc:
             message = f"stdout: {exc}"
-    try:
-        print(f"megden: error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        message = exc
+    except MemoryError as exc:
+        message = f"out of memory: {str(exc) or 'allocation failed'}"
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
+    try:  # a line break in the message (say, from an argv value) is escaped, not printed
+        print("megden: error: " + "\\n".join(str(message).splitlines()), file=sys.stderr)
     except (OSError, ValueError):  # a closed stderr leaves only the exit code
         pass
-    return 1
+    return code

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import pickle
+import signal
 from dataclasses import asdict, dataclass, fields
 from itertools import takewhile
 from pathlib import Path
@@ -344,7 +345,7 @@ def _run_chunk(fn, chunk: list) -> tuple[bool, object]:
         return False, exc
 
 
-def _fork_chunk(fn, chunk: list) -> tuple[int, int]:
+def _fork_chunk(fn, chunk: list, mask) -> tuple[int, int]:
     """Fork a child that pickles ``_run_chunk(fn, chunk)`` into a pipe; (pid, read end)."""
     read_fd, write_fd = os.pipe()
     try:
@@ -356,6 +357,7 @@ def _fork_chunk(fn, chunk: list) -> tuple[int, int]:
     if pid == 0:
         code = 1
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held SIGINT ends it here
             os.close(read_fd)
             payload = pickle.dumps(_run_chunk(fn, chunk), protocol=pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
@@ -395,7 +397,8 @@ def _fanout(fn, items) -> list:
     first error in item order wins, so results and errors do not depend
     on the worker count. Fork, not spawn: a child starts with the parent's
     trials and closures in memory, where a fresh interpreter would cost
-    about as much as one chunk's work.
+    about as much as one chunk's work. SIGINT waits while children are forked
+    and reaped, so none takes it in Python's fork hooks or outlives the parent.
     """
     items = list(items)
     count = min(_worker_count(), len(items))
@@ -404,12 +407,16 @@ def _fanout(fn, items) -> list:
     cuts = [len(items) * k // count for k in range(count + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     children = []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for chunk in chunks[1:]:
-            children.append((*_fork_chunk(fn, chunk), chunk[0]))
+            children.append((*_fork_chunk(fn, chunk, mask), chunk[0]))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         outcomes = [_run_chunk(fn, chunks[0])]
     finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         collected = [_collect(pid, fd, first) for pid, fd, first in children]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     results = []
     for ok, payload in outcomes + collected:
         if not ok:

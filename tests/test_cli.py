@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict, fields
 from xml.dom import minidom
@@ -411,12 +413,6 @@ def test_excessive_scales_exits_nonzero(dataset, tmp_path, capsys):
     assert "megden: error:" in capsys.readouterr().err
 
 
-def test_unknown_wavelet_rejected(dataset, tmp_path):
-    with pytest.raises(SystemExit):
-        run_main("denoise", "--data", str(dataset), "--out", str(tmp_path / "x.csv"),
-                 "--wavelet", "sym4")
-
-
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch, capsys):
     # os.fork is a counter that starts no process: the parent reads EOF from
     # the pipe and the stubbed reap, so every "child" reports no result
@@ -512,19 +508,78 @@ def closed_pipe() -> int:
     return write_end
 
 
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [(["denoise", "--data", "d", "--out", "x.csv", "--scales", "abc"], "invalid int value: 'abc'"),
+     (["bogus"], "invalid choice: 'bogus'"),
+     (["filters", "--bogus"], "unrecognized arguments: --bogus"),
+     (["filters", "a\nb"], "unrecognized arguments: a\\nb"),
+     (["denoise", "--data"], "argument --data: expected one argument"),
+     (["denoise", "--out", "x.csv"], "the following arguments are required: --data"),
+     (["denoise", "--data", "d", "--out", "x.csv", "--wavelet", "sym4"], "invalid choice: 'sym4'"),
+     ([], "the following arguments are required: command")],
+    ids=["bad-int", "unknown-command", "unknown-option", "stray-argument", "missing-value",
+         "missing-required", "bad-choice", "no-command"],
+)
+def test_refused_argv_is_one_error_line(argv, fragment):
+    run = run_entry(argv, entry_env())
+    # a subcommand's own parser names itself; the top-level one refuses the rest
+    prog = "megden denoise" if "--data" in argv or "--out" in argv else "megden"
+    assert (run.returncode, run.stdout) == (1, "")
+    assert re.fullmatch(rf"megden: error: .*{re.escape(fragment)}.* \(see {prog} --help\)\n",
+                        run.stderr)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plot", "-h"], ["gen", "--seed", "3", "-h"]])
+def test_help_is_the_report(argv, monkeypatch):
+    # one width for both processes, so argparse wraps the help the same way
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    if argv[0] != "--help":
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    run = run_entry(argv, {**entry_env(), "COLUMNS": "80"})
+    assert (run.returncode, run.stdout, run.stderr) == (0, parser.format_help(), "")
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["snir", "filters"])  # filters prints five lines
+# filters prints five lines; the help texts go through the same print
+@pytest.mark.parametrize("command", ["snir", "filters", "--help", "plot --help"])
 def test_closed_stdout_is_one_error_line(tmp_path, command, unbuffered):
     ref = tmp_path / "ref.csv"
     save_matrix(np.ones((3, 4)), ref)
-    argv = {"snir": ["snir", "--mean", str(ref), "--calc", str(ref)], "filters": ["filters"]}
+    argv = {"snir": ["snir", "--mean", str(ref), "--calc", str(ref)]}.get(command, command.split())
     env = entry_env() if unbuffered is None else {**entry_env(), "PYTHONUNBUFFERED": unbuffered}
     stdout = closed_pipe()
     try:
-        run = run_entry(argv[command], env, stdout=stdout)
+        run = run_entry(argv, env, stdout=stdout)
     finally:
         os.close(stdout)
     assert (run.returncode, run.stderr) == (1, "megden: error: stdout: [Errno 32] Broken pipe\n")
+
+
+def test_ctrl_c_during_gen_is_one_error_line(tmp_path):
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it, so
+    # the forked workers are interrupted with the parent
+    out = tmp_path / "d"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "megden", "gen", "--trials", "30", "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=entry_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "trial_0.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (130, "megden: error: interrupted\n")
+    with pytest.raises(ProcessLookupError):  # no worker outlives the parent
+        os.killpg(proc.pid, 0)
 
 
 def test_closed_stdout_and_stderr_exit_one():

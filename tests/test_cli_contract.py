@@ -4,7 +4,11 @@ Hypothesis draws argv for ``cli.main`` from each subparser's option
 table as ``build_parser`` defines it: ints including negatives and huge
 values, floats including nan, inf and 1e308, any string as a plot title,
 and input paths that exist, are missing, hold the wrong kind of file
-or hold a dataset whose sums overflow float64.
+or hold a dataset whose sums overflow float64. Many argv then get one
+fault: a value argparse refuses (words or fractions for an int, words
+for a float, a name outside the choices), an unknown option, a stray
+argument, a trailing option with no value, an unknown command, or ``-h``
+at any position.
 Dataset sizes are capped so each run stays small; the huge size values
 are ones numpy refuses before it allocates anything. The affinity mask
 is stubbed to 1 or 2 CPUs.
@@ -12,7 +16,8 @@ is stubbed to 1 or 2 CPUs.
 Exit 0 must leave outputs that ``load_manifest``/``load_dataset``,
 ``load_matrix`` or ``minidom`` re-read and an empty stderr. Exit 1 must
 print exactly one ``megden: error:`` line, no traceback, and leave no
-0-byte file. Warnings are errors inside the body; the
+0-byte file. An argv holding ``-h`` must exit 0 with the help on stdout
+and an empty stderr. Warnings are errors inside the body; the
 ``filterwarnings("error")`` mark would turn a failing example into a
 pytest INTERNALERROR (see CHANGES.md).
 """
@@ -59,6 +64,13 @@ FLOATS = st.one_of(
 )
 # Any code point, lone surrogates included (argv holds them for undecodable bytes).
 TITLES = st.text(st.characters(exclude_categories=()), max_size=8)
+# Mostly text that is no number; st.text may still draw one, which is checked the same way.
+NON_NUMERIC = st.one_of(
+    st.sampled_from(["", "abc", "1,5", "0x10", "1e", "--"]), st.text(max_size=4)
+)
+# None of these is an option of any command, nor a prefix argparse would expand.
+UNKNOWN_OPTIONS = ("--bogus", "--bogus=1", "-q", "--outdir")
+FAULTS = ("value", "unknown option", "stray argument", "no value", "unknown command", "help")
 SIZE_DESTS = {"sensors", "pre_samples", "post_samples", "trials"}
 OUTPUT_DESTS = {"out", "ratios"}
 INPUT_DESTS = {"data", "mean", "calc", "infile"}
@@ -117,16 +129,43 @@ def value_strategy(action: argparse.Action, inputs: dict, outdir: Path):
     return value if action.required or action.dest in ALWAYS_GIVEN else st.one_of(st.none(), value)
 
 
+def refused_value(action: argparse.Action):
+    """Strategy for a value argparse refuses: out of the choices, fractional or non-numeric."""
+    if action.choices is not None:
+        return st.text(max_size=6).filter(lambda v: v not in action.choices)
+    if action.type is int:
+        return st.one_of(NON_NUMERIC, FLOATS.map(repr))
+    return NON_NUMERIC
+
+
 @st.composite
 def argv_for(draw, table, inputs, outdir):
+    """A command's argv from its option table, then at most one fault from ``FAULTS``."""
     command = draw(st.sampled_from(sorted(table)))
     argv = [command]
-    for action in table[command]:
+    actions = table[command]
+    for action in actions:
         value = draw(value_strategy(action, inputs, outdir))
         if value is True:
             argv.append(action.option_strings[0])
         elif value is not None:
             argv.append(f"{action.option_strings[0]}={value}")
+    fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS)))
+    checked = [a for a in actions if a.choices is not None or a.type in (int, float)]
+    if fault == "value" and checked:
+        action = draw(st.sampled_from(checked))
+        argv.append(f"{action.option_strings[0]}={draw(refused_value(action))}")
+    elif fault == "unknown option":
+        argv.append(draw(st.sampled_from(UNKNOWN_OPTIONS)))
+    elif fault == "stray argument":  # any text, line breaks included
+        argv.append(draw(TITLES.filter(lambda a: a[:1] != "-")))
+    elif fault == "no value":
+        takes_value = [a for a in actions if a.nargs != 0]
+        argv.append(draw(st.sampled_from(takes_value)).option_strings[0])
+    elif fault == "unknown command":
+        argv[0] = draw(st.text(max_size=6).filter(lambda c: c not in table and c[:1] != "-"))
+    elif fault == "help":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
     return argv
 
 
@@ -161,7 +200,7 @@ def check_outputs(command: str, outdir: Path, stdout: str) -> None:
 TABLE = option_table()
 
 
-@settings(max_examples=400, deadline=None,
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), cpus=st.integers(1, 2))
 def test_cli_exits_cleanly_on_any_drawn_argv(inputs, tmp_path, data, cpus):
@@ -178,7 +217,10 @@ def test_cli_exits_cleanly_on_any_drawn_argv(inputs, tmp_path, data, cpus):
             warnings.simplefilter("error")
             code = main(argv)
             err = stderr.getvalue()
-            if code == 0:
+            if "-h" in argv or "--help" in argv:
+                assert (code, err) == (0, "")
+                assert stdout.getvalue().startswith("usage: megden")
+            elif code == 0:
                 assert err == ""
                 check_outputs(argv[0], outdir, stdout.getvalue())
         if code != 0:
