@@ -197,7 +197,13 @@ def main(argv=None) -> int:
     code = 1
     try:
         try:
-            args = build_parser().parse_args(argv)
+            parser = build_parser()
+            args, extras = parser.parse_known_args(argv)
+            if extras:  # refused as the subcommand's, whose help lists the options it takes
+                raise ValueError(
+                    f"unrecognized arguments: {' '.join(extras)} "
+                    f"(see {parser.prog} {args.command} --help)"
+                )
             report = args.func(args)
         except _Help as text:
             report = str(text)

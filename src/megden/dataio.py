@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import TrialSet
-from .filters import _is_integer
+from .filters import _check_int, _excerpt
 
 __all__ = [
     "Manifest",
@@ -57,11 +57,7 @@ _NOISE_CHUNK = 65_536
 def _check_counts(config) -> None:
     """Four integers: ``pre_samples`` may be 0; the other three counts must be at least 1."""
     for name, least in (("sensors", 1), ("pre_samples", 0), ("post_samples", 1), ("trials", 1)):
-        value = getattr(config, name)
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_int(name, getattr(config, name), least)
 
 
 def _is_real(value) -> bool:
@@ -101,10 +97,7 @@ class SyntheticConfig:
     response_decay_ms: float = 60.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_int("seed", self.seed, 0, 2**64 - 1)
         _check_counts(self)
         for name in ("noise_sigma", "response_amp", "response_freq_hz", "response_decay_ms"):
             value = getattr(self, name)
@@ -288,11 +281,6 @@ def save_manifest(manifest: Manifest, path) -> None:
     _write_text(path, [json.dumps({**asdict(manifest), **_FIXED}, indent=2) + "\n"])
 
 
-def _excerpt(text: str, limit: int = 40) -> str:
-    """``text`` cut to its first ``limit`` characters plus "...": an error line stays short."""
-    return text if len(text) <= limit else text[:limit] + "..."
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys each appear once; ``json`` would keep a repeat's last value."""
     obj = {}
@@ -324,17 +312,14 @@ def load_manifest(path) -> Manifest:
     if missing is not None:
         raise ValueError(f"{path}: missing manifest key {missing!r}")
     try:
-        for key in counts:  # a JSON true or false is not a number
-            if isinstance(raw[key], bool) or not isinstance(raw[key], int):
-                got = _excerpt(json.dumps(raw[key]))
-                raise TypeError(f"key {key!r} must be an integer, got {got}")
+        manifest = Manifest(**{key: raw[key] for key in counts})  # a bad count is named first
         for key, want in _FIXED.items():  # JSON 1 equals 1.0
             if isinstance(raw[key], bool) or raw[key] != want:
                 got = _excerpt(json.dumps(raw[key]))
                 raise ValueError(f"key {key!r} must be {json.dumps(want)}, got {got}")
-        return Manifest(**{key: raw[key] for key in counts})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid manifest: {exc}") from None
+    return manifest
 
 
 def _run_chunk(fn, chunk: list) -> tuple[bool, object]:

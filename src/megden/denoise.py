@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .filters import Family, _check_param, _frozen, _is_integer, make_filter
+from .filters import Family, _check_int, _check_param, _frozen, make_filter
 from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
 
 __all__ = [
@@ -49,11 +49,11 @@ class TrialSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _frozen(self.trials))
         shape = self.trials.shape
-        if len(shape) != 3 or min(shape[:2]) < 1 or not 0 <= self.pre_samples < shape[2]:
+        if len(shape) != 3 or min(shape) < 1:
             raise ValueError(
-                f"need a T x K x (pre+post) block with T >= 1, K >= 1 and 0 <= pre < columns; "
-                f"got shape {shape}, pre {self.pre_samples}"
+                f"need a T x K x (pre+post) block with T, K and pre+post >= 1; got shape {shape}"
             )
+        _check_int("pre_samples", self.pre_samples, 0, shape[2] - 1)
 
     @property
     def sensors(self) -> int:
@@ -76,10 +76,7 @@ class SensorEstimate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
-        if not 0 <= self.wavelet_count <= self.values.size:
-            raise ValueError(
-                f"{self.wavelet_count} wavelet estimates for {self.values.size} sensors"
-            )
+        _check_int("wavelet_count", self.wavelet_count, 0, self.values.size)
 
     @property
     def mean_filled_count(self) -> int:
@@ -102,10 +99,7 @@ class DenoiseConfig:
     threshold: bool = False
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.scales):
-            raise ValueError(f"scales must be an integer, got {self.scales!r}")
-        if self.scales < 1:
-            raise ValueError(f"scales must be >= 1, got {self.scales}")
+        _check_int("scales", self.scales, 1)
         _check_param(self.family, self.param)  # a bad zero count fails here, not after loading
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode member, got {self.mode!r}")
@@ -158,8 +152,7 @@ def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> Senso
 
 def reconstruct_denoised(est: SensorEstimate, post: int) -> np.ndarray:
     """Emit each sensor's estimate constantly across the post-stimulus window."""
-    if post < 1:
-        raise ValueError(f"post-stimulus length must be >= 1, got {post}")
+    _check_int("post-stimulus length", post, 1)
     return np.tile(est.values[:, None], (1, post))
 
 
@@ -197,10 +190,7 @@ def denoise_dataset(trials: TrialSet, config: DenoiseConfig, trial_index: int = 
     that overflows the float64 range is a ``ValueError``.
     """
     if config.mode is Mode.SINGLE_TRIAL:
-        if not _is_integer(trial_index):
-            raise ValueError(f"trial index must be an integer, got {trial_index!r}")
-        if not 0 <= trial_index < len(trials):  # a negative index is an error, not a wrap
-            raise ValueError(f"trial index {trial_index} out of range 0..{len(trials) - 1}")
+        _check_int("trial index", trial_index, 0, len(trials) - 1)  # -1 is an error, not a wrap
         estimator = threshold_denoise if config.threshold else denoise_trial
         return estimator(
             trials.trials[trial_index], config, trials.pre_samples, trials.post_samples

@@ -44,6 +44,20 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """``text`` cut to its first ``limit`` characters plus "...": an error line stays short."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy int (a bool is not) in least..most."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {_excerpt(repr(value))}")
+    if value < least or most is not None and value > most:
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be {bounds}, got {_excerpt(str(value))}")
+
+
 @dataclass(frozen=True)
 class FilterPair:
     """Low-pass/high-pass analysis pair for one wavelet family.
@@ -96,24 +110,17 @@ def qmf_highpass(lowpass) -> np.ndarray:
     return g
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one, though it subclasses int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_param(family: Family, param: int) -> None:
     """Raise ValueError unless ``family`` is a Family and ``param`` a zero count it can build."""
     if not isinstance(family, Family):
         raise ValueError(f"family must be a Family member, got {family!r}")
-    if not _is_integer(param):
-        raise ValueError(f"param must be an integer, got {param!r}")
+    _check_int("param", param, 0)
     if family is Family.ADJUSTED_HAAR:
-        if not 0 <= param <= MAX_ADJUSTED_HAAR_ZEROS:
-            raise ValueError(
-                f"adjusted-Haar zero count must be in 0..{MAX_ADJUSTED_HAAR_ZEROS}, got {param}"
-            )
+        _check_int("adjusted-Haar zero count", param, 0, MAX_ADJUSTED_HAAR_ZEROS)
     elif param != 0:
-        raise ValueError(f"{family.value} takes no zero-count parameter, got {param}")
+        raise ValueError(
+            f"{family.value} takes no zero-count parameter, got {_excerpt(str(param))}"
+        )
 
 
 def make_filter(family: Family, param: int = 0) -> FilterPair:
@@ -158,8 +165,7 @@ def adjusted_haar_freq_magnitude(n: int, omega: float) -> float:
     tightens the envelope by the factor 2n+1. The closed form is singular
     at w = 0, so zero is rejected rather than special-cased.
     """
-    if n < 0:
-        raise ValueError(f"zero count n must be non-negative, got {n}")
+    _check_int("zero count n", n, 0)
     w = float(omega)
     if w == 0.0:
         raise ValueError("omega must be nonzero")

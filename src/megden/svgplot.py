@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import _check_int, _excerpt
+
 __all__ = ["PlotSpec", "render_traces"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
@@ -35,10 +37,10 @@ class PlotSpec:
     height: int = 600
 
     def __post_init__(self) -> None:
-        if not (100 <= self.width <= 100_000 and 100 <= self.height <= 100_000):
-            raise ValueError(
-                f"plot sides must be 100..100000 px, got {self.width}x{self.height}"
-            )
+        if not isinstance(self.title, str):
+            raise ValueError(f"title must be a str, got {_excerpt(repr(self.title))}")
+        _check_int("width", self.width, 100, 100_000)
+        _check_int("height", self.height, 100, 100_000)
 
 
 def render_traces(matrix, spec: PlotSpec = PlotSpec()) -> str:

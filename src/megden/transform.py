@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterPair
+from .filters import FilterPair, _check_int
 
 __all__ = [
     "dwt_analyze",
@@ -116,8 +116,7 @@ class Decomposition:
 
 def max_decomposition_depth(length: int) -> int:
     """Number of ceil-halvings until the approximation shrinks to one sample."""
-    if length < 2:
-        raise ValueError(f"signal must have at least 2 samples, got {length}")
+    _check_int("signal length", length, 2)
     return (int(length) - 1).bit_length()
 
 
@@ -189,13 +188,7 @@ def _checked_signal(signal, levels: int) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
     deepest = max_decomposition_depth(x.size)  # refuses fewer than 2 samples
-    if levels < 1:
-        raise ValueError(f"decomposition depth must be >= 1, got {levels}")
-    if levels > deepest:
-        raise ValueError(
-            f"depth {levels} is too deep for a length-{x.size} signal; "
-            f"max feasible depth is {deepest}"
-        )
+    _check_int(f"depth for a length-{x.size} signal", levels, 1, deepest)
     return x
 
 

@@ -141,7 +141,7 @@ def test_threshold_single_trial_out_of_range(dataset, tmp_path, capsys, trial, m
     )
     assert code == 1
     if mode == ["--mode", "single"]:
-        want = f"trial index {trial} out of range 0..1"
+        want = f"trial index must be in 0..1, got {trial}"
     else:
         want = "--trial applies only to --mode single"
     assert capsys.readouterr().err == f"megden: error: {want}\n"
@@ -523,8 +523,10 @@ def closed_pipe() -> int:
 )
 def test_refused_argv_is_one_error_line(argv, fragment):
     run = run_entry(argv, entry_env())
-    # a subcommand's own parser names itself; the top-level one refuses the rest
-    prog = "megden denoise" if "--data" in argv or "--out" in argv else "megden"
+    # a subcommand's own parser names itself, and so do the extras after a subcommand;
+    # the top-level parser refuses the rest
+    prog = ("megden denoise" if "--data" in argv or "--out" in argv
+            else "megden filters" if argv[:1] == ["filters"] else "megden")
     assert (run.returncode, run.stdout) == (1, "")
     assert re.fullmatch(rf"megden: error: .*{re.escape(fragment)}.* \(see {prog} --help\)\n",
                         run.stderr)

@@ -434,7 +434,8 @@ def test_load_manifest_errors(tmp_path):
     for key, value in (("trials", True), ("sensors", 8.9), ("sensors", 8.0),
                        ("post_samples", "6")):
         p.write_text(json.dumps({**good, key: value}))
-        with pytest.raises(ValueError, match=rf"m\.json: .*'{key}' must be an integer"):
+        want = rf"m\.json: invalid manifest: {key} must be an integer, got "
+        with pytest.raises(ValueError, match=want):
             load_manifest(p)
 
     p.write_bytes(b"\xef\xbb\xbf" + json.dumps(good).encode())
@@ -487,7 +488,7 @@ def test_manifest_errors_echo_a_short_excerpt_of_a_long_key_or_value(tmp_path):
         (json.dumps({**good, "unit": long}),
          f'invalid manifest: key \'unit\' must be "fT", got "{cut}'),
         (json.dumps({**good, "trials": long}),
-         f'invalid manifest: key \'trials\' must be an integer, got "{cut}'),
+         f"invalid manifest: trials must be an integer, got '{cut}"),
         (json.dumps({**good, long: 1}), f"invalid manifest: unknown key '{cut}"),
         (f'{{"{long}": 1, "{long}": 1}}', f"invalid JSON: repeated key '{cut}"),
     )
@@ -609,11 +610,14 @@ def test_manifest_unit_and_period_are_strict(tmp_path):
         with pytest.raises(ValueError, match=r"m\.json: invalid manifest: key 'sample_period_ms' "
                                                r"must be 1\.0, got "):
             load_manifest(p)
-    # a count's type is checked first, then the fixed keys, then the count's range
-    for bad_count, named in ((8.5, "sensors"), (0, "unit")):
+    # a count's type and range are checked first, then the fixed keys
+    for bad_count, named in ((8.5, "sensors must be an integer, got 8.5"),
+                             (0, "sensors must be >= 1, got 0"),
+                             (4, "key 'unit' must be \"fT\", got \"pT\"")):
         p.write_text(json.dumps({**good, "sensors": bad_count, "unit": "pT"}))
-        with pytest.raises(ValueError, match=rf"m\.json: invalid manifest: key '{named}' must"):
+        with pytest.raises(ValueError) as info:
             load_manifest(p)
+        assert str(info.value) == f"{p}: invalid manifest: {named}"
     for text in ("[1, 2]", '"fT"', "7", "null"):
         p.write_text(text)
         with pytest.raises(ValueError, match=r"m\.json: manifest must be a JSON object"):

@@ -449,15 +449,15 @@ def test_denoise_multi_turns_an_overflowing_trial_sum_into_a_structure_error(thr
 
 def test_trialset_validation():
     good = np.zeros((2, 5))
-    message = r"^need a T x K x \(pre\+post\) block with T >= 1, K >= 1 and 0 <= pre < columns"
-    for trials, pre in (
-        ((), 2),  # no trial
-        (np.zeros((0, 2, 5)), 2),  # no trial
-        (good, 2),  # 2-D
-        ((np.zeros(5),), 2),  # 2-D
-        ((np.zeros((0, 5)),), 2),  # no sensor
-        ((good,), 5),  # pre out of range
-        ((good,), -1),  # pre out of range
+    shape = r"^need a T x K x \(pre\+post\) block with T, K and pre\+post >= 1; got shape "
+    for trials, pre, message in (
+        ((), 2, shape),  # no trial
+        (np.zeros((0, 2, 5)), 2, shape),  # no trial
+        (good, 2, shape),  # 2-D
+        ((np.zeros(5),), 2, shape),  # 2-D
+        ((np.zeros((0, 5)),), 2, shape),  # no sensor
+        ((good,), 5, r"^pre_samples must be in 0\.\.4, got 5$"),  # pre out of range
+        ((good,), -1, r"^pre_samples must be in 0\.\.4, got -1$"),  # pre out of range
     ):
         with pytest.raises(ValueError, match=message):
             TrialSet(trials=trials, pre_samples=pre)
@@ -471,7 +471,7 @@ def test_trialset_validation():
 
 def test_sensor_estimate_validation():
     for count in (5, -1):
-        with pytest.raises(ValueError, match=f"^{count} wavelet estimates for 3 sensors$"):
+        with pytest.raises(ValueError, match=f"^wavelet_count must be in 0\\.\\.3, got {count}$"):
             SensorEstimate(np.zeros(3), count)
     assert SensorEstimate(np.zeros(3), 1).mean_filled_count == 2
 

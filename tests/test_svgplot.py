@@ -97,11 +97,14 @@ def test_spec_validation():
         PlotSpec(height=10)
     # a side past the float range would crash the layout with an OverflowError
     for side in (100_001, 10**400):
-        with pytest.raises(ValueError, match="100..100000 px"):
+        with pytest.raises(ValueError, match=r"^width must be in 100\.\.100000, got "):
             PlotSpec(width=side)
-        with pytest.raises(ValueError, match="100..100000 px"):
+        with pytest.raises(ValueError, match=r"^height must be in 100\.\.100000, got "):
             PlotSpec(height=side)
     PlotSpec(width=100_000, height=100)
+    # a title that is not a str would fail in render_traces with a TypeError
+    with pytest.raises(ValueError, match="^title must be a str, got 5$"):
+        PlotSpec(title=5)
 
 
 def test_dimensions_in_header():
