@@ -199,11 +199,11 @@ def main(argv=None) -> int:
         try:
             parser = build_parser()
             args, extras = parser.parse_known_args(argv)
-            if extras:  # refused as the subcommand's, whose help lists the options it takes
-                raise ValueError(
-                    f"unrecognized arguments: {' '.join(extras)} "
-                    f"(see {parser.prog} {args.command} --help)"
-                )
+            if extras:  # refused by the parser given the first, whose help lists its options
+                argv = sys.argv[1:] if argv is None else list(argv)
+                top = extras[0] in argv[: argv.index(args.command)]
+                prog = parser.prog if top else f"{parser.prog} {args.command}"
+                raise ValueError(f"unrecognized arguments: {' '.join(extras)} (see {prog} --help)")
             report = args.func(args)
         except _Help as text:
             report = str(text)

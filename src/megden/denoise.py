@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .filters import Family, _check_int, _check_param, _frozen, make_filter
-from .transform import Decomposition, dwt_analyze, dwt_approx, dwt_synthesize
+from .transform import Decomposition, _approx_rows, dwt_analyze, dwt_synthesize
 
 __all__ = [
     "DenoiseConfig",
@@ -69,18 +69,20 @@ class TrialSet:
 
 @dataclass(frozen=True)
 class SensorEstimate:
-    """Per-sensor amplitude estimates; the first ``wavelet_count`` are wavelet, the rest mean-filled."""
+    """K or T x K sensor estimates: each trial's first ``wavelet_count`` wavelet, the rest means."""
 
     values: np.ndarray
     wavelet_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
-        _check_int("wavelet_count", self.wavelet_count, 0, self.values.size)
+        if self.values.ndim not in (1, 2):
+            raise ValueError(f"need K or T x K values, got shape {self.values.shape}")
+        _check_int("wavelet_count", self.wavelet_count, 0, self.values.shape[-1])
 
     @property
     def mean_filled_count(self) -> int:
-        return self.values.size - self.wavelet_count
+        return self.values.shape[-1] - self.wavelet_count
 
 
 @dataclass(frozen=True)
@@ -128,26 +130,29 @@ def _overflow_is_an_error(stage: str):
 
 
 @_overflow_is_an_error("denoised estimate")
-def estimate_sensors(trial, config: DenoiseConfig, pre: int, post: int) -> SensorEstimate:
+def estimate_sensors(trials, config: DenoiseConfig, pre: int, post: int) -> SensorEstimate:
     """Estimate one amplitude per sensor from the deep approximation band.
 
-    The post-stimulus rows are concatenated and decomposed; approximation
-    coefficients are rescaled by 2^(-J/2) to undo the transform's
-    per-level sqrt(2) gain. Coefficient i maps to sensor i; surplus
-    coefficients are dropped, and sensors beyond the coefficient count
-    get their own post-stimulus temporal mean instead.
+    ``trials`` is one K x (pre+post) trial or a T x K x (pre+post) block,
+    whose T x K values are each trial's own, bit for bit but for a nan's
+    sign. A trial's post-stimulus rows are concatenated and decomposed;
+    approximation coefficients are rescaled by 2^(-J/2) to undo the
+    transform's per-level sqrt(2) gain. Coefficient i maps to sensor i;
+    surplus coefficients are dropped, and sensors beyond the coefficient
+    count get their own post-stimulus temporal mean instead.
     """
-    m = np.asarray(trial, dtype=np.float64)
-    vec = concatenate_post_stimulus(m, pre, post)
-    approx = dwt_approx(vec, make_filter(config.family, config.param), config.scales)
+    m = np.asarray(trials, dtype=np.float64)
+    block = m if m.ndim == 3 else m[None]
+    rows = (concatenate_post_stimulus(t, pre, post) for t in block)  # no copy of the whole block
+    approx = _approx_rows(rows, len(block), make_filter(config.family, config.param), config.scales)
     approx *= 2.0 ** (-config.scales / 2.0)
-    sensors = m.shape[0]
-    count = min(approx.size, sensors)
-    values = np.empty(sensors)
-    values[:count] = approx[:count]
+    sensors = block.shape[1]
+    count = min(approx.shape[1], sensors)
+    values = np.empty((len(block), sensors))
+    values[:, :count] = approx[:, :count]
     if count < sensors:
-        values[count:] = m[count:, pre:].mean(axis=1)
-    return SensorEstimate(values, count)
+        values[:, count:] = block[:, count:, pre:].mean(axis=2)
+    return SensorEstimate(values if m.ndim == 3 else values[0], count)
 
 
 def reconstruct_denoised(est: SensorEstimate, post: int) -> np.ndarray:
@@ -166,8 +171,8 @@ def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
     """Mean of per-trial outputs of ``config``'s estimator, reduced in trial-index order.
 
     The approximation estimator's output is constant along each sensor's
-    window, so its mean sums the K per-trial sensor estimates and tiles
-    them once; the threshold estimator's sums its K x post outputs.
+    window, so its mean sums the T x K estimates of one block estimate and
+    tiles them once; the threshold estimator's sums its K x post outputs.
     """
     pre, post = trials.pre_samples, trials.post_samples
     if config.threshold:
@@ -175,9 +180,8 @@ def denoise_multi(trials: TrialSet, config: DenoiseConfig) -> np.ndarray:
         for t in trials.trials:
             acc += threshold_denoise(t, config, pre, post)
         return acc / len(trials)
-    total = np.zeros(trials.sensors)
-    for t in trials.trials:
-        total += estimate_sensors(t, config, pre, post).values
+    values = estimate_sensors(trials.trials, config, pre, post).values
+    total = np.add.reduce(values, axis=0, initial=0.0)  # trial order from zero, as average_trials
     return np.tile((total / len(trials))[:, None], (1, post))
 
 

@@ -49,13 +49,20 @@ def _excerpt(text: str, limit: int = 40) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def _excerpt_int(value) -> str:
+    """``_excerpt(str(value))``; one division cuts an int too long for ``str`` to 45+ digits."""
+    v = int(value)
+    cut = max(0, int(abs(v).bit_length() * math.log10(2)) - 45)
+    return _excerpt(("-" if v < 0 else "") + str(abs(v) // 10**cut))
+
+
 def _check_int(name: str, value, least: int, most: int | None = None) -> None:
     """Raise ValueError unless ``value`` is a Python or numpy int (a bool is not) in least..most."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {_excerpt(repr(value))}")
     if value < least or most is not None and value > most:
         bounds = f">= {least}" if most is None else f"in {least}..{most}"
-        raise ValueError(f"{name} must be {bounds}, got {_excerpt(str(value))}")
+        raise ValueError(f"{name} must be {bounds}, got {_excerpt_int(value)}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ def _check_param(family: Family, param: int) -> None:
         _check_int("adjusted-Haar zero count", param, 0, MAX_ADJUSTED_HAAR_ZEROS)
     elif param != 0:
         raise ValueError(
-            f"{family.value} takes no zero-count parameter, got {_excerpt(str(param))}"
+            f"{family.value} takes no zero-count parameter, got {_excerpt_int(param)}"
         )
 
 

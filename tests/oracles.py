@@ -124,6 +124,17 @@ def dwt_synthesize_reference(approx, details, lengths, filters: FilterPair) -> n
     return a
 
 
+def same_bits(got, want) -> bool:
+    """Equal bits, but for the sign and payload of a nan.
+
+    x86 takes those from the order of a sum's operands, which numpy's loops
+    choose by memory layout, so a stacked and a lone signal may differ there.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def threshold_denoise_reference(
     trial, config: DenoiseConfig, pre: int, post: int, median=np.median
 ) -> np.ndarray:

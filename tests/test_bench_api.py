@@ -121,7 +121,7 @@ def test_bench_modes_and_threshold_signature():
     assert out.shape == (2, 4)
 
 
-def test_traced_layers_run_once_per_trial(monkeypatch):
+def test_traced_layers_run_once_per_block_or_trial(monkeypatch):
     # bench/tracing.py rebinds these module attributes; a pipeline that went
     # around them would lose its per-layer spans and the 258/16 counts
     def recording(original, results):
@@ -130,29 +130,30 @@ def test_traced_layers_run_once_per_trial(monkeypatch):
             return results[-1]
         return wrapper
 
-    names = ("concatenate_post_stimulus", "estimate_sensors", "dwt_analyze", "dwt_approx",
-             "dwt_synthesize")
+    names = ("concatenate_post_stimulus", "estimate_sensors", "dwt_analyze", "dwt_synthesize")
     calls = {name: [] for name in names}
     for name, results in calls.items():
         monkeypatch.setattr(denoise, name, recording(getattr(denoise, name), results))
     trials = generate_synthetic(SyntheticConfig(seed=42))
     config = denoise.DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2, scales=8)
     assert denoise.denoise_dataset(trials, config).shape == (274, 241)
-    # the approximation estimator reads no detail band, so it runs no full analysis
+    # the approximation estimator runs once on the dataset block, which concatenates
+    # each trial's window as it reaches it, and reads no detail band
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "concatenate_post_stimulus": 10, "estimate_sensors": 10, "dwt_analyze": 0,
-        "dwt_approx": 10, "dwt_synthesize": 0,
+        "concatenate_post_stimulus": 10, "estimate_sensors": 1, "dwt_analyze": 0,
+        "dwt_synthesize": 0,
     }
     assert {(e.wavelet_count, e.mean_filled_count) for e in calls["estimate_sensors"]} == {
         (258, 16)
     }
+    assert calls["estimate_sensors"][0].values.shape == (10, 274)
     for seen in calls.values():
         seen.clear()
     config = denoise.DenoiseConfig(family=Family.ADJUSTED_HAAR, param=2, scales=8, threshold=True)
     assert denoise.denoise_dataset(trials, config).shape == (274, 241)
     assert {name: len(seen) for name, seen in calls.items()} == {
         "concatenate_post_stimulus": 10, "estimate_sensors": 0, "dwt_analyze": 10,
-        "dwt_approx": 0, "dwt_synthesize": 10,
+        "dwt_synthesize": 10,
     }
 
 

@@ -513,18 +513,19 @@ def closed_pipe() -> int:
     [(["denoise", "--data", "d", "--out", "x.csv", "--scales", "abc"], "invalid int value: 'abc'"),
      (["bogus"], "invalid choice: 'bogus'"),
      (["filters", "--bogus"], "unrecognized arguments: --bogus"),
+     (["--bogus", "filters"], "unrecognized arguments: --bogus"),
      (["filters", "a\nb"], "unrecognized arguments: a\\nb"),
      (["denoise", "--data"], "argument --data: expected one argument"),
      (["denoise", "--out", "x.csv"], "the following arguments are required: --data"),
      (["denoise", "--data", "d", "--out", "x.csv", "--wavelet", "sym4"], "invalid choice: 'sym4'"),
      ([], "the following arguments are required: command")],
-    ids=["bad-int", "unknown-command", "unknown-option", "stray-argument", "missing-value",
-         "missing-required", "bad-choice", "no-command"],
+    ids=["bad-int", "unknown-command", "unknown-option", "leftover-before-command",
+         "stray-argument", "missing-value", "missing-required", "bad-choice", "no-command"],
 )
 def test_refused_argv_is_one_error_line(argv, fragment):
     run = run_entry(argv, entry_env())
     # a subcommand's own parser names itself, and so do the extras after a subcommand;
-    # the top-level parser refuses the rest
+    # the top-level parser refuses the rest, a leftover before the subcommand included
     prog = ("megden denoise" if "--data" in argv or "--out" in argv
             else "megden filters" if argv[:1] == ["filters"] else "megden")
     assert (run.returncode, run.stdout) == (1, "")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import approx_mean_reference, threshold_denoise_reference, threshold_mean_reference
+from oracles import (
+    approx_mean_reference,
+    dwt_analyze_reference,
+    same_bits,
+    threshold_denoise_reference,
+    threshold_mean_reference,
+)
 
 from megden.dataio import SyntheticConfig, generate_synthetic
 from megden.denoise import (
@@ -25,6 +32,7 @@ from megden.denoise import (
     threshold_denoise,
 )
 import megden.denoise as denoise_module
+import megden.transform as transform_module
 from megden.filters import Family, make_filter
 from megden.transform import Decomposition, dwt_analyze, dwt_synthesize, max_decomposition_depth
 
@@ -353,6 +361,76 @@ def test_approx_mean_matches_the_reference_bit_for_bit(family, count, sensors, p
         assert denoise_multi(ts, config).tobytes() == want.tobytes()
 
 
+def check_block_estimate(ts: TrialSet, config: DenoiseConfig) -> None:
+    """The block estimate and mean against the per-trial loop, every level of each trial
+    on its own 1-D row, bit for bit but for a nan's sign and payload; a finite trial's
+    also against the loop reference DWT."""
+    pre, post = ts.pre_samples, ts.post_samples
+    est = estimate_sensors(ts.trials, config, pre, post)
+    mean = denoise_multi(ts, config)
+    with mock.patch.object(transform_module, "_BLOCK_BYTES", 0), np.errstate(invalid="ignore"):
+        alone = [estimate_sensors(trial, config, pre, post) for trial in ts.trials]
+        want = approx_mean_reference(ts, config)  # inf - inf in its sum is nan, as in the library
+    assert same_bits(mean, want)
+    assert est.values.shape == (len(ts), ts.sensors)
+    assert {e.wavelet_count for e in alone} == {est.wavelet_count}
+    assert same_bits(est.values, [e.values for e in alone])
+    pair, count = make_filter(config.family, config.param), est.wavelet_count
+    for trial, values in zip(ts.trials, est.values):
+        if np.isfinite(trial).all():
+            vec = concatenate_post_stimulus(trial, pre, post)
+            approx = dwt_analyze_reference(vec, pair, config.scales)[0][:count]
+            assert values[:count].tobytes() == (approx * 2.0 ** (-config.scales / 2)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    count=st.integers(1, 4),
+    sensors=st.integers(1, 6),
+    pre=st.integers(0, 3),
+    post=st.integers(1, 40),
+    draw=st.data(),
+)
+def test_the_block_estimate_is_the_per_trial_loop_bit_for_bit(
+    family, count, sensors, pre, post, draw
+):
+    # the drawn byte budget moves the level where the trials are stacked, so rows
+    # straddle it at every level, odd level lengths and ahaar8's wrap > m included
+    n = sensors * post
+    assume(n >= 2)
+    mats = draw.draw(arrays(np.float64, (count, sensors, pre + post), elements=EDGE_FLOATS))
+    bad = draw.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        trial = draw.draw(st.integers(0, count - 1))
+        mats[trial].flat[draw.draw(st.integers(0, mats[trial].size - 1))] = bad
+    ts = TrialSet(mats, pre)
+    scales = draw.draw(st.integers(1, max_decomposition_depth(n)))
+    budget = draw.draw(st.integers(0, 8 * n) | st.just(transform_module._BLOCK_BYTES))
+    with mock.patch.object(transform_module, "_BLOCK_BYTES", budget):
+        check_block_estimate(ts, DenoiseConfig(family[0], family[1], scales))
+
+
+@pytest.mark.parametrize(
+    "sensors,post",
+    [(35, 250), (1, 8751), (2, 8751)],
+    ids=["row-at-the-budget", "level-1-alone", "levels-1-2-alone"],
+)
+@pytest.mark.parametrize("family", [(Family.DAUBECHIES4, 0), (Family.ADJUSTED_HAAR, 8)],
+                         ids=["db4", "ahaar8"])
+def test_rows_either_side_of_the_byte_budget_match_the_per_trial_loop(family, sensors, post):
+    # 8,750 samples are exactly _BLOCK_BYTES, so a row of them is stacked from level 1
+    assert 8 * 8750 == transform_module._BLOCK_BYTES
+    rng = np.random.default_rng(post)
+    ts = TrialSet(rng.normal(scale=50.0, size=(3, sensors, 2 + post)), 2)
+    check_block_estimate(ts, DenoiseConfig(family[0], family[1], 8))
+
+
+def test_an_empty_block_is_a_value_error():
+    with pytest.raises(ValueError, match="^signal count must be >= 1, got 0$"):
+        estimate_sensors(np.zeros((0, 3, 8)), HAAR0, 0, 8)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0].value}{f[1]}")
 def test_a_non_finite_sample_leaves_the_threshold_estimate_non_finite(family, bad):
@@ -474,6 +552,11 @@ def test_sensor_estimate_validation():
         with pytest.raises(ValueError, match=f"^wavelet_count must be in 0\\.\\.3, got {count}$"):
             SensorEstimate(np.zeros(3), count)
     assert SensorEstimate(np.zeros(3), 1).mean_filled_count == 2
+    # a block estimate's counts are per trial
+    assert SensorEstimate(np.zeros((4, 3)), 1).mean_filled_count == 2
+    for shape in ((), (2, 2, 3)):
+        with pytest.raises(ValueError, match=r"^need K or T x K values, got shape \("):
+            SensorEstimate(np.zeros(shape), 0)
 
 
 def test_config_validation():

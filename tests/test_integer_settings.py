@@ -95,11 +95,18 @@ def test_every_integer_setting_follows_one_rule(name, build, good, out_of_range,
     build(np.int64(good))
     with pytest.raises(ValueError, match=f"^{re.escape(range_message)}$"):
         build(out_of_range)
-    # a huge value or a long string is echoed as its first 40 characters and "..."
-    for value, shown in ((1 - 10**3000, "-" + "9" * 39), ("7" * 3000, "'" + "7" * 39)):
+    # a huge value or a long string is echoed as its first 40 characters and "...",
+    # also an int too long for Python's str (over 4,300 digits)
+    for value, shown in ((1 - 10**3000, "-" + "9" * 39), ("7" * 3000, "'" + "7" * 39),
+                         (-(10**5000), "-1" + "0" * 38)):
         with pytest.raises(ValueError) as info:
             build(value)
         assert str(info.value).endswith(f", got {shown}...")
+
+
+def test_a_zero_count_too_long_for_str_is_echoed_cut():
+    with pytest.raises(ValueError, match=r"^db4 takes no zero-count parameter, got 10{39}\.\.\.$"):
+        make_filter(Family.DAUBECHIES4, 10**5000)
 
 
 @pytest.mark.parametrize("source", ["gen", "manifest"])
